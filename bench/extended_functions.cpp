@@ -19,8 +19,7 @@ void RunDataset(const char* title, const corpus::GeneratorConfig& cfg,
   core::ExperimentRunner runner = bench::MakeRunner(data, seed, /*runs=*/3);
 
   std::vector<core::ExperimentConfig> configs;
-  for (const std::string& name :
-       {"F11", "F12", "F13", "F14", "F15", "F16"}) {
+  for (const char* name : {"F11", "F12", "F13", "F14", "F15", "F16"}) {
     configs.push_back(bench::SingleFunctionConfig(name));
   }
   configs.push_back(bench::RegionBestConfig("C10", core::kSubsetI10));

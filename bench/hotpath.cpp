@@ -1,18 +1,17 @@
-// Hot-path benchmark (ROADMAP item 1): pair-scoring throughput of the
-// interpreted per-pair walk vs the compiled batch kernels, per block size.
+// Hot-path benchmark: pair-scoring throughput of the per-pair walk vs the
+// compiled batch kernels, per block size.
 //
 // For each block size the seven batchable vector functions (F1, F4, F5,
-// F6, F8, F9, F10) score the full upper triangle three ways:
+// F6, F8, F9, F10) score the full upper triangle two ways:
 //
 //   interpreted      — virtual SimilarityFunction::Compute per pair
-//   compiled-scalar  — BlockScorer strips, kernels forced to scalar
-//   compiled-avx2    — BlockScorer strips, AVX2 kernels (when available)
+//   compiled-scalar  — BlockScorer strips through the scalar kernels
 //
 // plus the fitted decision criteria evaluated per value (virtual Decide /
 // LinkProbability) vs CompiledDecision::EvalBlock. Emits BENCH_hotpath.json
-// with pairs/sec per mode and the speedup ratios. All three modes produce
-// bit-identical scores (asserted here via checksums), so the ratios are
-// pure speed.
+// with pairs/sec per mode and the speedup ratio. Both modes produce
+// bit-identical scores (one pass of each is checked before timing), so the
+// ratio is pure speed.
 //
 // Usage: hotpath [--quick] [output.json]
 
@@ -28,7 +27,6 @@
 #include "core/decision.h"
 #include "extract/feature_extractor.h"
 #include "ml/splitter.h"
-#include "text/batch_similarity.h"
 
 using namespace weber;
 
@@ -44,7 +42,6 @@ struct SizeResult {
   long long pairs = 0;
   ModeResult interpreted;
   ModeResult compiled_scalar;
-  ModeResult compiled_avx2;
   double decision_interpreted_vals_per_sec = 0.0;
   double decision_compiled_vals_per_sec = 0.0;
 };
@@ -83,6 +80,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::cerr << "usage: hotpath [--quick] [output.json]\n";
+      return 2;
     } else {
       out_path = argv[i];
     }
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     r.block_size = n;
     r.pairs = pairs_per_rep;
 
-    r.interpreted = Measure(pairs_per_rep, budget_s, [&] {
+    auto interpreted_pass = [&] {
       double sum = 0.0;
       for (core::SimilarityFunction* fn : batchable) {
         for (int a = 0; a < n; ++a) {
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
         }
       }
       return sum;
-    });
+    };
 
     auto compiled_pass = [&] {
       core::BlockScorer scorer(&bundles);
@@ -169,13 +169,13 @@ int main(int argc, char** argv) {
       }
       return sum;
     };
-    text::ForceKernelMode(text::KernelMode::kScalar);
-    r.compiled_scalar = Measure(pairs_per_rep, budget_s, compiled_pass);
-    if (text::Avx2Available()) {
-      text::ForceKernelMode(text::KernelMode::kAvx2);
-      r.compiled_avx2 = Measure(pairs_per_rep, budget_s, compiled_pass);
+    // Same pairs, same order, same raw values: the sums match bitwise.
+    if (interpreted_pass() != compiled_pass()) {
+      std::cerr << "n=" << n << ": compiled scores differ from per-pair\n";
+      return 1;
     }
-    text::ForceKernelMode(text::KernelMode::kAuto);
+    r.interpreted = Measure(pairs_per_rep, budget_s, interpreted_pass);
+    r.compiled_scalar = Measure(pairs_per_rep, budget_s, compiled_pass);
 
     // Decision tables: one value per pair, region criterion.
     std::vector<double> values(tri_pairs);
@@ -207,30 +207,22 @@ int main(int argc, char** argv) {
               << " pairs/s, scalar " << r.compiled_scalar.pairs_per_sec
               << " (x"
               << r.compiled_scalar.pairs_per_sec / r.interpreted.pairs_per_sec
-              << "), avx2 " << r.compiled_avx2.pairs_per_sec << " (x"
-              << r.compiled_avx2.pairs_per_sec / r.interpreted.pairs_per_sec
               << ")\n";
   }
 
   std::ofstream out(out_path);
   out << "{\n  \"benchmark\": \"hotpath\",\n  \"functions\": "
-      << batchable.size() << ",\n  \"avx2_available\": "
-      << (text::Avx2Available() ? "true" : "false") << ",\n  \"results\": [";
+      << batchable.size() << ",\n  \"results\": [";
   for (size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     const double s_speed =
         r.compiled_scalar.pairs_per_sec / r.interpreted.pairs_per_sec;
-    const double v_speed =
-        r.compiled_avx2.pairs_per_sec / r.interpreted.pairs_per_sec;
     out << (i ? "," : "") << "\n    {\"block_size\": " << r.block_size
         << ", \"pairs_per_rep\": " << r.pairs
         << ", \"interpreted_pairs_per_sec\": " << r.interpreted.pairs_per_sec
         << ", \"compiled_scalar_pairs_per_sec\": "
         << r.compiled_scalar.pairs_per_sec
-        << ", \"compiled_avx2_pairs_per_sec\": "
-        << r.compiled_avx2.pairs_per_sec
         << ", \"scalar_speedup\": " << s_speed
-        << ", \"avx2_speedup\": " << v_speed
         << ", \"decision_interpreted_vals_per_sec\": "
         << r.decision_interpreted_vals_per_sec
         << ", \"decision_compiled_vals_per_sec\": "

@@ -32,9 +32,8 @@
 # mid-copy and mid-flip, assert rollback/completion, zero acked-write
 # loss, and dump byte-identity through the router).
 #
-# --hotpath-only: the compiled hot path under ASan/UBSan — the kernel
-# bit-equality / decision-fuzz / end-to-end equivalence tests (which force
-# both the scalar and, when available, the AVX2 kernels internally), the
+# --hotpath-only: the compiled hot path under ASan/UBSan — the scalar
+# kernel bit-equality / decision-fuzz / end-to-end equivalence tests, the
 # vector-similarity regression tests for the numeric edge cases the batch
 # audit flushed out, the compiled serve-match test, and a smoke run of the
 # hotpath benchmark asserting it emits well-formed JSON.
@@ -183,7 +182,7 @@ if [[ "$MODE" == "--hotpath-only" ]]; then
   mkdir -p "$scratch"
   ./build-asan/bench/hotpath --quick "$scratch/BENCH_hotpath.json"
   grep -q '"compiled_scalar_pairs_per_sec"' "$scratch/BENCH_hotpath.json"
-  grep -q '"avx2_speedup"' "$scratch/BENCH_hotpath.json"
+  grep -q '"scalar_speedup"' "$scratch/BENCH_hotpath.json"
   echo "==> hotpath checks passed"
   exit 0
 fi

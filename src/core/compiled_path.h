@@ -1,11 +1,11 @@
-// The compiled decision hot path (ROADMAP item 1).
+// The compiled scoring path: the one way a block's pairs are scored and
+// decided.
 //
-// The interpreted pipeline evaluates every pair through a virtual
-// DecisionCriterion::Decide / LinkProbability call (binary search plus
-// per-region branching inside the model), a virtual
-// SimilarityFunction::Compute per function (merge-join + per-pair norm
-// recomputation), and a per-source pass in the combiner. This header bakes
-// each of those walks into flat tables evaluated branchlessly:
+// Per pair, Algorithm 1 is a virtual SimilarityFunction::Compute per
+// function (merge-join + per-pair norm recomputation), a virtual
+// DecisionCriterion::Decide / LinkProbability (binary search plus
+// per-region branching inside the model), and a per-source pass in the
+// combiner. This header bakes each of those walks into flat tables:
 //
 //   * CompiledDecision — a trained criterion (threshold / region-accuracy /
 //     isotonic) flattened into one sorted boundary array plus a per-region
@@ -15,20 +15,20 @@
 //     per call.
 //   * BlockScorer — a block's FeatureBundles frozen into the text layer's
 //     CSR/SoA arenas (text::FrozenVectors, one per feature family), scoring
-//     each function's full similarity matrix with one-against-strip batch
-//     kernels (AVX2 or scalar, CPUID-dispatched) instead of per-pair
-//     Compute calls.
+//     each function's full similarity matrix with one-against-strip scalar
+//     kernels instead of per-pair Compute calls.
 //   * BakeCombineWeights / FusedWeightedAverage — the weighted-average
 //     combiner's accuracy weights baked once, each pair combined as a fused
 //     dot product over the sources.
 //
-// Equivalence guarantee: every compiled evaluation is BIT-IDENTICAL to its
-// interpreted counterpart (see batch_similarity.h for how the kernels
-// achieve this; CompiledDecision reproduces the exact comparison semantics
-// of each criterion, including NaN ordering and the region models' input
-// clamp). fig2_www_results output is byte-identical with the compiled path
-// on or off; compiled_path_test fuzzes the equivalence per criterion and
-// kernel.
+// The per-pair Compute / Decide / LinkProbability calls remain only as the
+// fallback for functions and criteria without a compiled form, and as the
+// test oracle. Equivalence guarantee: every compiled evaluation is
+// BIT-IDENTICAL to its per-pair counterpart (see batch_similarity.h for the
+// kernels; CompiledDecision reproduces the exact comparison semantics of
+// each criterion, including NaN ordering and the region models' input
+// clamp). compiled_path_test checks the equivalence per kernel, per
+// criterion and end to end.
 
 #ifndef WEBER_CORE_COMPILED_PATH_H_
 #define WEBER_CORE_COMPILED_PATH_H_

@@ -109,6 +109,25 @@ bool IsotonicCriterion::Compile(CompiledDecision* out) const {
   return true;
 }
 
+void EvalCriterion(const DecisionCriterion& criterion,
+                   const graph::SimilarityMatrix& sims, char* decisions,
+                   double* link_probs) {
+  const std::vector<double>& values = sims.data();
+  CompiledDecision table;
+  if (criterion.Compile(&table)) {
+    table.EvalBlock(values.data(), values.size(), decisions, link_probs);
+    return;
+  }
+  for (size_t k = 0; k < values.size(); ++k) {
+    if (decisions != nullptr) {
+      decisions[k] = criterion.Decide(values[k]) ? 1 : 0;
+    }
+    if (link_probs != nullptr) {
+      link_probs[k] = criterion.LinkProbability(values[k]);
+    }
+  }
+}
+
 std::vector<std::unique_ptr<DecisionCriterion>> MakeStandardCriteria(
     int equal_width_bins, int kmeans_k) {
   std::vector<std::unique_ptr<DecisionCriterion>> criteria;

@@ -140,6 +140,15 @@ class IsotonicCriterion final : public DecisionCriterion {
   double train_accuracy_ = 0.0;
 };
 
+/// Evaluates a fitted criterion over every pair of `sims`:
+/// decisions[k] = Decide(value k) as 0/1 and link_probs[k] =
+/// LinkProbability(value k), in sims.data() order. Either output may be
+/// null. Runs the criterion's CompiledDecision table when Compile gives
+/// one, else the virtual per-value calls; both give the same bits.
+void EvalCriterion(const DecisionCriterion& criterion,
+                   const graph::SimilarityMatrix& sims, char* decisions,
+                   double* link_probs);
+
 /// The full criteria family used by the resolver: a plain threshold, an
 /// equal-width region model, and a k-means region model.
 std::vector<std::unique_ptr<DecisionCriterion>> MakeStandardCriteria(

@@ -118,11 +118,13 @@ Result<graph::Clustering> IncrementalResolver::BatchResolve(
   WallTimer timer;
   std::vector<std::pair<int, int>> edges;
 
-  // Compiled hot path: with no cache to consult every pair is scored fresh,
-  // so whole rows of the upper triangle can go through the batched kernels.
-  // Accumulating the functions in declaration order per pair and dividing
-  // once reproduces MatchScore's sum bit for bit (see compiled_path.h).
-  if (options_.compiled_path && score_cache_ == nullptr && n >= 2) {
+  // With no cache to consult every pair is scored fresh, so whole rows of
+  // the upper triangle go through the batched kernels. Accumulating the
+  // functions in declaration order per pair and dividing once reproduces
+  // MatchScore's sum bit for bit (see compiled_path.h). An installed
+  // PairScoreCache must keep observing (and serving) every pair score, so
+  // cached resolvers take the per-pair loop below.
+  if (score_cache_ == nullptr && n >= 2) {
     BlockScorer scorer(&documents_);
     std::vector<BatchSpec> specs(functions_.size());
     std::vector<char> batchable(functions_.size(), 0);

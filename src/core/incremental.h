@@ -42,13 +42,6 @@ struct IncrementalOptions {
     kBestMax = 1,   ///< max score over cluster members (single linkage)
   };
   Assignment assignment = Assignment::kBestMean;
-
-  /// Score BatchResolve's all-pairs pass through the compiled batch kernels
-  /// (core/compiled_path.h). Bit-identical to the per-pair walk — a pure
-  /// speed switch. Only taken when no PairScoreCache is installed: a cache
-  /// must keep observing (and serving) every pair score, so cached
-  /// resolvers stay on the interpreted path.
-  bool compiled_path = true;
 };
 
 /// Streaming resolver. Calibrate the match threshold once on labeled pairs

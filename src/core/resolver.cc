@@ -34,7 +34,7 @@ struct LabeledPair {
 Result<double> CvGraphScore(const CriterionFactory& factory,
                             const graph::SimilarityMatrix& sims,
                             const std::vector<LabeledPair>& training,
-                            int folds, Rng* rng, bool compiled) {
+                            int folds, Rng* rng) {
   if (training.empty()) {
     return Status::InvalidArgument("CvGraphScore: empty training sample");
   }
@@ -69,16 +69,7 @@ Result<double> CvGraphScore(const CriterionFactory& factory,
     std::unique_ptr<DecisionCriterion> criterion = factory();
     WEBER_RETURN_NOT_OK(criterion->Fit(fit_part, rng));
     graph::DecisionGraph decisions(n, 0, 1);
-    auto& dec = decisions.data();
-    const auto& values = sims.data();
-    CompiledDecision table;
-    if (compiled && criterion->Compile(&table)) {
-      table.EvalBlock(values.data(), values.size(), dec.data(), nullptr);
-    } else {
-      for (size_t k = 0; k < values.size(); ++k) {
-        dec[k] = criterion->Decide(values[k]) ? 1 : 0;
-      }
-    }
+    EvalCriterion(*criterion, sims, decisions.data().data(), nullptr);
     graph::Clustering closed = graph::TransitiveClosure(decisions);
     for (const LabeledPair* p : held_out) {
       const bool predicted = closed.SameCluster(p->a, p->b);
@@ -233,15 +224,14 @@ Result<BlockResolution> EntityResolver::ResolveExtracted(
   std::vector<graph::SimilarityMatrix> matrices(functions_.size());
   std::vector<char> computed(functions_.size(), 0);
   std::vector<char> quarantined(functions_.size(), 0);
-  // Compiled hot path: score whole matrices through the frozen CSR/SoA
-  // kernels when the function declares a batchable form. Bit-identical to
-  // the per-pair walk (see compiled_path.h), so the guard wrapper — which
-  // is value-transparent for these contract-abiding standard functions —
-  // can be skipped. Armed fault injection forces the interpreted path so
+  // Score whole matrices through the frozen CSR/SoA kernels when the
+  // function declares a batchable form. Bit-identical to the per-pair walk
+  // (see compiled_path.h), so the guard wrapper — which is
+  // value-transparent for these contract-abiding standard functions — can
+  // be skipped. Armed fault injection forces the per-pair guarded walk so
   // the `similarity.compute` fault point keeps seeing every pair.
   BlockScorer block_scorer(&bundles);
-  const bool use_batch =
-      options_.compiled_path && !faults::FaultInjector::Instance().AnyArmed();
+  const bool use_batch = !faults::FaultInjector::Instance().AnyArmed();
   const long long pearson_corrections_before =
       text::PearsonDimensionCorrections();
   for (size_t f = 0; f < functions_.size(); ++f) {
@@ -386,8 +376,7 @@ Result<BlockResolution> EntityResolver::ResolveExtracted(
       // ranking suffers a strong winner's curse, and raw pair accuracy is
       // swamped by the negative class.
       Result<double> graph_score =
-          CvGraphScore(factory, sims, labeled_pairs, /*folds=*/3, rng,
-                       options_.compiled_path);
+          CvGraphScore(factory, sims, labeled_pairs, /*folds=*/3, rng);
       if (!graph_score.ok()) {
         if (first_fit_error.ok()) first_fit_error = graph_score.status();
         ++health.skipped_criteria;
@@ -399,21 +388,11 @@ Result<BlockResolution> EntityResolver::ResolveExtracted(
       source.train_accuracy = *graph_score;
       source.decisions = graph::DecisionGraph(n, 0, 1);
       source.link_probs = graph::SimilarityMatrix(n, 0.0, 1.0);
-      const auto& values = sims.data();
       auto& dec = source.decisions.data();
       auto& probs = source.link_probs.data();
-      CompiledDecision table;
-      if (options_.compiled_path && criterion->Compile(&table)) {
-        table.EvalBlock(values.data(), values.size(), dec.data(),
-                        probs.data());
-      } else {
-        for (size_t k = 0; k < values.size(); ++k) {
-          dec[k] = criterion->Decide(values[k]) ? 1 : 0;
-          probs[k] = criterion->LinkProbability(values[k]);
-        }
-      }
+      EvalCriterion(*criterion, sims, dec.data(), probs.data());
       if (!pair_gated.empty()) {
-        for (size_t k = 0; k < values.size(); ++k) {
+        for (size_t k = 0; k < pair_gated.size(); ++k) {
           if (!pair_gated[k]) continue;
           dec[k] = 0;
           probs[k] = std::min(probs[k], 0.49);

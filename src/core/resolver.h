@@ -48,15 +48,6 @@ struct ResolverOptions {
   /// (false reproduces the paper's threshold-only I columns).
   bool use_region_criteria = true;
 
-  /// Score pairs through the compiled hot path (compiled_path.h): batched
-  /// CSR/SoA similarity kernels (AVX2/scalar, CPUID-dispatched) for the
-  /// standard vector functions and flattened decision tables for the
-  /// fitted criteria. Bit-identical to the interpreted walk — this is a
-  /// pure speed switch; `--no-compiled-path` on the tools is the escape
-  /// hatch. Automatically bypassed while fault injection is armed so the
-  /// `similarity.compute` fault point keeps observing every pair.
-  bool compiled_path = true;
-
   /// Extension: also include the isotonic (monotone-calibrated) criterion
   /// in the candidate family. Off in the paper's configuration; used by
   /// the region ablation to separate "better calibration" from

@@ -938,20 +938,19 @@ Result<MatchResult> ResolutionService::Match(const std::string& block,
   // shard threshold: greedy best-first is one-to-one and cheap enough for
   // the read path.
   //
-  // Compiled hot path: the batchable functions are scored as one strip per
-  // (document, function) over the shard's bundles and looked up per member;
-  // the remaining functions stay on the per-pair cache path with
+  // The batchable functions are scored as one strip per (document,
+  // function) over the shard's bundles and looked up per member; the
+  // remaining functions stay on the per-pair cache path with
   // ScorePairCached's exact key order, so every aggregate is bit-identical
-  // to the interpreted walk (see core/compiled_path.h). Armed fault
-  // injection forces the fully interpreted path so the `similarity.compute`
-  // chaos point keeps observing every pair.
+  // to the per-pair walk (see core/compiled_path.h). Armed fault injection
+  // forces the fully per-pair path so the `similarity.compute` chaos point
+  // keeps observing every pair.
   const size_t num_functions = functions_.size();
   core::BlockScorer strip_scorer(&shard->bundles);
   std::vector<core::BatchSpec> specs(num_functions);
   std::vector<char> batchable(num_functions, 0);
   bool any_batchable = false;
-  if (options_.incremental.compiled_path &&
-      !faults::FaultInjector::Instance().AnyArmed()) {
+  if (!faults::FaultInjector::Instance().AnyArmed()) {
     for (size_t f = 0; f < num_functions; ++f) {
       specs[f] = functions_[f]->batch_spec();
       // Pearson is excluded here (unlike the resolver paths, which always

@@ -1,70 +1,31 @@
 #include "text/batch_similarity.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
-#include "text/batch_simd_internal.h"
-
 namespace weber {
 namespace text {
-
-namespace {
-
-std::atomic<int> g_forced_mode{static_cast<int>(KernelMode::kAuto)};
-
-KernelMode DetectKernelMode() {
-  return Avx2Available() ? KernelMode::kAvx2 : KernelMode::kScalar;
-}
-
-}  // namespace
-
-bool Avx2Available() {
-#ifdef WEBER_HAVE_AVX2_KERNELS
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-KernelMode ActiveKernelMode() {
-  const int forced = g_forced_mode.load(std::memory_order_relaxed);
-  if (forced == static_cast<int>(KernelMode::kScalar)) {
-    return KernelMode::kScalar;
-  }
-  if (forced == static_cast<int>(KernelMode::kAvx2)) {
-    return Avx2Available() ? KernelMode::kAvx2 : KernelMode::kScalar;
-  }
-  // CPUID dispatch, resolved once per process.
-  static const KernelMode detected = DetectKernelMode();
-  return detected;
-}
-
-void ForceKernelMode(KernelMode mode) {
-  g_forced_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 FrozenVectors FrozenVectors::Freeze(
     const std::vector<const SparseVector*>& vectors) {
   FrozenVectors frozen;
   const int n = static_cast<int>(vectors.size());
   frozen.offsets_.resize(n + 1, 0);
-  frozen.counts_.resize(n, 0);
   frozen.norms_.resize(n, 0.0);
   frozen.sums_.resize(n, 0.0);
   frozen.sum_squares_.resize(n, 0.0);
 
   int64_t total = 0;
-  int32_t max_id = -1;
   for (int i = 0; i < n; ++i) {
     const size_t count = vectors[i] == nullptr ? 0 : vectors[i]->size();
     total += static_cast<int64_t>(count);
     frozen.offsets_[i + 1] = total;
-    frozen.counts_[i] = static_cast<int32_t>(count);
-    if (count > 0) max_id = std::max(max_id, vectors[i]->entries().back().id);
+    if (count > 0) {
+      frozen.max_id_ =
+          std::max(frozen.max_id_, vectors[i]->entries().back().id);
+    }
   }
-  frozen.sentinel_ = max_id + 1;
 
   frozen.ids_.resize(total);
   frozen.weights_.resize(total);
@@ -73,7 +34,7 @@ FrozenVectors FrozenVectors::Freeze(
     int64_t at = frozen.offsets_[i];
     // The statistics loops mirror SparseVector::Sum / Norm exactly (same
     // sequential accumulation), so the cached values are bit-identical to
-    // what the interpreted path recomputes per pair.
+    // what the per-pair functions recompute.
     double sum = 0.0, sum_squares = 0.0;
     for (const SparseVector::Entry& e : vectors[i]->entries()) {
       frozen.ids_[at] = e.id;
@@ -86,44 +47,14 @@ FrozenVectors FrozenVectors::Freeze(
     frozen.sum_squares_[i] = sum_squares;
     frozen.norms_[i] = std::sqrt(sum_squares);
   }
-
-  // Transposed quad layout: groups of four candidates, entries rank-major,
-  // lanes padded to the group's longest vector with sentinel entries.
-  const int num_groups = (n + 3) / 4;
-  frozen.quad_offsets_.resize(num_groups + 1, 0);
-  int64_t total_ranks = 0;
-  for (int g = 0; g < num_groups; ++g) {
-    int32_t longest = 0;
-    for (int lane = 0; lane < 4; ++lane) {
-      const int v = 4 * g + lane;
-      if (v < n) longest = std::max(longest, frozen.counts_[v]);
-    }
-    total_ranks += longest;
-    frozen.quad_offsets_[g + 1] = total_ranks;
-  }
-  frozen.quad_ids_.assign(4 * total_ranks, frozen.sentinel_);
-  frozen.quad_weights_.assign(4 * total_ranks, 0.0);
-  for (int g = 0; g < num_groups; ++g) {
-    const int64_t rank_begin = frozen.quad_offsets_[g];
-    for (int lane = 0; lane < 4; ++lane) {
-      const int v = 4 * g + lane;
-      if (v >= n) continue;
-      const int64_t src = frozen.offsets_[v];
-      for (int32_t k = 0; k < frozen.counts_[v]; ++k) {
-        frozen.quad_ids_[4 * (rank_begin + k) + lane] = frozen.ids_[src + k];
-        frozen.quad_weights_[4 * (rank_begin + k) + lane] =
-            frozen.weights_[src + k];
-      }
-    }
-  }
   return frozen;
 }
 
 BatchScorer::BatchScorer(const FrozenVectors* frozen) : frozen_(frozen) {
-  // Slot `sentinel_` stays zero / absent forever; padded quad lanes and any
-  // candidate id the anchor lacks both read exact zeros from it.
-  dense_.assign(static_cast<size_t>(frozen_->sentinel_) + 1, 0.0);
-  present_.assign(static_cast<size_t>(frozen_->sentinel_) + 1, 0);
+  // One slot per id up to max_id(); a candidate id the anchor lacks reads an
+  // exact zero.
+  dense_.assign(static_cast<size_t>(frozen_->max_id_ + 1), 0.0);
+  present_.assign(static_cast<size_t>(frozen_->max_id_ + 1), 0);
 }
 
 void BatchScorer::SetAnchor(int anchor) {
@@ -144,37 +75,12 @@ void BatchScorer::SetAnchor(int anchor) {
   }
 }
 
-void BatchScorer::DotQuadRange(int begin, int end, double* out) const {
-#ifdef WEBER_HAVE_AVX2_KERNELS
-  const int g_begin = begin / 4;
-  const int g_end = (end - 1) / 4 + 1;
-  quad_scratch_.resize(4 * static_cast<size_t>(g_end - g_begin));
-  internal::DotQuadRangeAvx2(dense_.data(), frozen_->quad_ids_.data(),
-                             frozen_->quad_weights_.data(),
-                             frozen_->quad_offsets_.data(), g_begin, g_end,
-                             quad_scratch_.data());
-  for (int j = begin; j < end; ++j) {
-    out[j - begin] = quad_scratch_[j - 4 * g_begin];
-  }
-#else
-  (void)begin;
-  (void)end;
-  (void)out;
-  assert(false && "AVX2 kernels not built into this binary");
-#endif
-}
-
 void BatchScorer::Dot(int begin, int end, double* out) const {
   assert(anchor_ >= 0);
   assert(begin >= 0 && begin <= end && end <= frozen_->size());
-  if (begin == end) return;
-  if (ActiveKernelMode() == KernelMode::kAvx2) {
-    DotQuadRange(begin, end, out);
-    return;
-  }
-  // Scalar fallback: each candidate's entries accumulate in ascending id
-  // order against the dense anchor — the same addition sequence as
-  // SparseVector::Dot's merge join (non-common ids add exact zeros).
+  // Each candidate's entries accumulate in ascending id order against the
+  // dense anchor — the same addition sequence as SparseVector::Dot's merge
+  // join (non-common ids add exact zeros).
   for (int j = begin; j < end; ++j) {
     double acc = 0.0;
     for (int64_t k = frozen_->offsets_[j]; k < frozen_->offsets_[j + 1]; ++k) {
@@ -187,21 +93,6 @@ void BatchScorer::Dot(int begin, int end, double* out) const {
 void BatchScorer::OverlapCount(int begin, int end, int32_t* out) const {
   assert(anchor_ >= 0);
   assert(begin >= 0 && begin <= end && end <= frozen_->size());
-  if (begin == end) return;
-#ifdef WEBER_HAVE_AVX2_KERNELS
-  if (ActiveKernelMode() == KernelMode::kAvx2) {
-    const int g_begin = begin / 4;
-    const int g_end = (end - 1) / 4 + 1;
-    overlap_scratch_.resize(4 * static_cast<size_t>(g_end - g_begin));
-    internal::OverlapQuadRangeAvx2(present_.data(), frozen_->quad_ids_.data(),
-                                   frozen_->quad_offsets_.data(), g_begin,
-                                   g_end, overlap_scratch_.data());
-    for (int j = begin; j < end; ++j) {
-      out[j - begin] = overlap_scratch_[j - 4 * g_begin];
-    }
-    return;
-  }
-#endif
   for (int j = begin; j < end; ++j) {
     int32_t count = 0;
     for (int64_t k = frozen_->offsets_[j]; k < frozen_->offsets_[j + 1]; ++k) {

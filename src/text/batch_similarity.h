@@ -1,7 +1,7 @@
 // Batch similarity kernels: the SoA/CSR layout and one-against-many strip
-// kernels behind the resolver's compiled hot path (ROADMAP item 1).
+// kernels behind the resolver's compiled hot path.
 //
-// The interpreted path walks two SparseVectors per pair: a merge-join dot
+// The per-pair functions walk two SparseVectors per pair: a merge-join dot
 // product plus Norm()/Sum() recomputed from scratch for every pair. Here a
 // block's vectors are frozen once into contiguous CSR arrays (sorted term
 // ids + weights in one arena) with per-vector norms/sums precomputed, and
@@ -10,23 +10,13 @@
 // Bit-exactness guarantee (stronger than the 1e-12 the equivalence sweep
 // documents): every kernel reproduces the scalar functions in
 // text/vector_similarity.h BIT FOR BIT.
-//   * The scalar strip kernel accumulates each candidate's entries in
-//     ascending id order against a dense scatter of the anchor — the same
-//     addition sequence as SparseVector::Dot's merge join, plus exact-zero
-//     additions for non-common ids (an IEEE-754 no-op).
-//   * The AVX2 kernel transposes candidates into groups of four and keeps
-//     one candidate per SIMD lane, so each lane performs the identical
-//     sequential multiply-add sequence; padded tail entries index a
-//     guaranteed-zero sentinel slot. No FMA contraction is used (the AVX2
-//     translation unit is built with -ffp-contract=off) because fused
-//     rounding would diverge from the scalar path.
+//   * The strip kernel accumulates each candidate's entries in ascending id
+//     order against a dense scatter of the anchor — the same addition
+//     sequence as SparseVector::Dot's merge join, plus exact-zero additions
+//     for non-common ids (an IEEE-754 no-op).
 //   * The composite measures (cosine, saturating overlap, extended Jaccard,
 //     Pearson) replicate the exact expression and operand order of their
 //     scalar counterparts.
-//
-// Kernel selection happens once at startup via runtime CPUID dispatch
-// (AVX2 when the CPU reports it, scalar otherwise); tests and benchmarks
-// can override it with ForceKernelMode.
 
 #ifndef WEBER_TEXT_BATCH_SIMILARITY_H_
 #define WEBER_TEXT_BATCH_SIMILARITY_H_
@@ -39,30 +29,9 @@
 namespace weber {
 namespace text {
 
-/// Which strip-kernel implementation runs.
-enum class KernelMode : int {
-  kAuto = 0,    ///< CPUID-dispatched choice (AVX2 if available, else scalar)
-  kScalar = 1,  ///< force the scalar fallback
-  kAvx2 = 2,    ///< force AVX2 (only valid when Avx2Available())
-};
-
-/// True when this binary was built with AVX2 kernels and the CPU reports
-/// AVX2 support.
-bool Avx2Available();
-
-/// The mode strips will execute under: the forced mode if one is set, else
-/// the CPUID-dispatched default (resolved once, at first use).
-KernelMode ActiveKernelMode();
-
-/// Overrides kernel selection process-wide (tests / benchmarks). kAuto
-/// restores CPUID dispatch. Forcing kAvx2 without Avx2Available() is
-/// ignored and leaves the scalar kernels active.
-void ForceKernelMode(KernelMode mode);
-
 /// A block's sparse vectors frozen into contiguous CSR arrays, with the
-/// per-vector statistics (entry count, Euclidean norm, weight sum, sum of
-/// squared weights) the composite measures need, plus the transposed
-/// quad-of-candidates layout the AVX2 kernels consume.
+/// per-vector statistics (Euclidean norm, weight sum, sum of squared
+/// weights) the composite measures need.
 class FrozenVectors {
  public:
   FrozenVectors() = default;
@@ -70,13 +39,12 @@ class FrozenVectors {
   /// Freezes `vectors[i]` for all i. Null entries freeze as empty vectors.
   static FrozenVectors Freeze(const std::vector<const SparseVector*>& vectors);
 
-  int size() const { return static_cast<int>(counts_.size()); }
-  int32_t count(int i) const { return counts_[i]; }
+  int size() const { return static_cast<int>(norms_.size()); }
   double norm(int i) const { return norms_[i]; }
   double sum(int i) const { return sums_[i]; }
   double sum_squares(int i) const { return sum_squares_[i]; }
   /// Largest term id across all frozen vectors, or -1 when all are empty.
-  int32_t max_id() const { return sentinel_ - 1; }
+  int32_t max_id() const { return max_id_; }
 
  private:
   friend class BatchScorer;
@@ -88,22 +56,11 @@ class FrozenVectors {
 
   // Per-vector statistics, computed with the same sequential loops as
   // SparseVector::Norm / SparseVector::Sum (bit-identical).
-  std::vector<int32_t> counts_;
   std::vector<double> norms_;
   std::vector<double> sums_;
   std::vector<double> sum_squares_;
 
-  // Transposed layout for AVX2: vectors are grouped in quads [4g, 4g + 4);
-  // within group g, entry rank k stores the four lanes' ids then weights
-  // contiguously (ids[4k..4k+3], weights[4k..4k+3]). Vectors shorter than
-  // the group maximum are padded with (sentinel_, 0.0) entries; the dense
-  // scratch guarantees slot `sentinel_` is zero, so padded lanes accumulate
-  // exact zeros.
-  std::vector<int64_t> quad_offsets_;  // per group: start rank offset
-  std::vector<int32_t> quad_ids_;
-  std::vector<double> quad_weights_;
-
-  int32_t sentinel_ = 0;  // max id + 1; also the dense-scratch size - 1
+  int32_t max_id_ = -1;
 };
 
 /// Scores one anchor vector against strips of candidate vectors from the
@@ -145,17 +102,10 @@ class BatchScorer {
   void Pearson(int begin, int end, double* out) const;
 
  private:
-  void DotQuadRange(int begin, int end, double* out) const;
-
   const FrozenVectors* frozen_;
-  std::vector<double> dense_;      // anchor weight by id; slot sentinel_ = 0
+  std::vector<double> dense_;      // anchor weight by id, 0 when absent
   std::vector<int32_t> present_;   // 1 iff the anchor has this id
   int anchor_ = -1;
-
-  // Whole-quad landing zones for the AVX2 range kernels; the requested
-  // [begin, end) window is copied out after one kernel call per strip.
-  mutable std::vector<double> quad_scratch_;
-  mutable std::vector<int32_t> overlap_scratch_;
 
   int pearson_dim_ = -1;
   std::vector<double> pearson_means_;  // sum(i) / dim

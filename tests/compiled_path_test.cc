@@ -8,6 +8,7 @@
 #include <random>
 #include <thread>
 
+#include "common/fault_injection.h"
 #include "core/decision.h"
 #include "core/incremental.h"
 #include "core/resolver.h"
@@ -37,10 +38,9 @@ SparseVector RandomVector(std::mt19937_64& rng, int max_terms, int id_range) {
   return SparseVector::FromPairs(std::move(entries));
 }
 
-/// Every kernel must reproduce its scalar counterpart bitwise under the
-/// given kernel mode, including empty vectors and zero-weight entries.
-void RunKernelEquivalence(text::KernelMode mode) {
-  text::ForceKernelMode(mode);
+/// Every kernel must reproduce its scalar counterpart bitwise, including
+/// empty vectors and zero-weight entries.
+void RunKernelEquivalence() {
   std::mt19937_64 rng(0xC0FFEE);
   constexpr int kDimension = 96;  // > any id, so Pearson is batch-eligible
   for (int round = 0; round < 20; ++round) {
@@ -87,30 +87,10 @@ void RunKernelEquivalence(text::KernelMode mode) {
       }
     }
   }
-  text::ForceKernelMode(text::KernelMode::kAuto);
 }
 
 TEST(CompiledPathKernels, ScalarKernelsMatchScalarFunctionsBitwise) {
-  RunKernelEquivalence(text::KernelMode::kScalar);
-  EXPECT_EQ(text::ActiveKernelMode(),
-            text::Avx2Available() ? text::KernelMode::kAvx2
-                                  : text::KernelMode::kScalar);
-}
-
-TEST(CompiledPathKernels, Avx2KernelsMatchScalarFunctionsBitwise) {
-  if (!text::Avx2Available()) {
-    GTEST_SKIP() << "no AVX2 on this machine/build";
-  }
-  RunKernelEquivalence(text::KernelMode::kAvx2);
-}
-
-TEST(CompiledPathKernels, ForcedScalarModeIsHonored) {
-  text::ForceKernelMode(text::KernelMode::kScalar);
-  EXPECT_EQ(text::ActiveKernelMode(), text::KernelMode::kScalar);
-  text::ForceKernelMode(text::KernelMode::kAuto);
-  EXPECT_EQ(text::ActiveKernelMode(),
-            text::Avx2Available() ? text::KernelMode::kAvx2
-                                  : text::KernelMode::kScalar);
+  RunKernelEquivalence();
 }
 
 TEST(CompiledPathKernels, CosineClampMasksOutOfRangeIntermediate) {
@@ -293,6 +273,38 @@ TEST(CompiledPathDecision, UnfittedCriteriaRefuseToCompile) {
   EXPECT_FALSE(isotonic.Compile(&table));
 }
 
+/// A criterion with no compiled form: EvalCriterion must take the virtual
+/// per-value calls.
+class UncompiledCriterion final : public DecisionCriterion {
+ public:
+  std::string name() const override { return "uncompiled"; }
+  Status Fit(const std::vector<ml::LabeledSimilarity>&, Rng*) override {
+    return Status::OK();
+  }
+  bool Decide(double value) const override { return value >= 0.25; }
+  double LinkProbability(double value) const override { return value / 2; }
+  double train_accuracy() const override { return 1.0; }
+};
+
+TEST(CompiledPathDecision, EvalCriterionFallsBackWhenCompileRefuses) {
+  graph::SimilarityMatrix sims(4, 0.0, 1.0);
+  auto& values = sims.data();
+  for (size_t k = 0; k < values.size(); ++k) values[k] = 0.1 * k;
+  UncompiledCriterion criterion;
+  CompiledDecision table;
+  ASSERT_FALSE(criterion.Compile(&table));
+  std::vector<char> decisions(values.size(), 2);
+  std::vector<double> probs(values.size(), -1.0);
+  EvalCriterion(criterion, sims, decisions.data(), probs.data());
+  for (size_t k = 0; k < values.size(); ++k) {
+    EXPECT_EQ(decisions[k] != 0, criterion.Decide(values[k]));
+    EXPECT_EQ(probs[k], criterion.LinkProbability(values[k]));
+  }
+  std::vector<char> only_decisions(values.size(), 2);
+  EvalCriterion(criterion, sims, only_decisions.data(), nullptr);
+  EXPECT_EQ(only_decisions, decisions);
+}
+
 TEST(CompiledPathDecision, FusedWeightedAverageMatchesTwoPassLoop) {
   std::mt19937_64 rng(0xFACE);
   std::uniform_real_distribution<double> value(0.0, 1.0);
@@ -345,22 +357,29 @@ class CompiledPathResolver : public ::testing::Test {
     data_ = nullptr;
   }
 
-  /// Resolves every block with the compiled path on and off; the results
-  /// must be indistinguishable (clustering, sources, accuracies, timings
-  /// aside).
-  void ExpectCompiledOffOnEquivalence(ResolverOptions options) {
-    options.compiled_path = true;
-    auto compiled = EntityResolver::Create(&data_->gazetteer, options);
-    ASSERT_TRUE(compiled.ok()) << compiled.status();
-    options.compiled_path = false;
-    auto interpreted = EntityResolver::Create(&data_->gazetteer, options);
-    ASSERT_TRUE(interpreted.ok()) << interpreted.status();
+  /// Resolves every block through the batch kernels and through the
+  /// per-pair guarded walk; the results must be indistinguishable
+  /// (clustering, sources, accuracies, timings aside). Arming the
+  /// `similarity.compute` fault point at probability 0 forces the per-pair
+  /// walk and never fires.
+  void ExpectBatchMatchesPerPair(const ResolverOptions& options) {
+    auto resolver = EntityResolver::Create(&data_->gazetteer, options);
+    ASSERT_TRUE(resolver.ok()) << resolver.status();
+    faults::ScopedFaultClearance clearance;
+    faults::FaultConfig never;
+    never.kind = faults::FaultKind::kNaN;
+    never.probability = 0.0;
 
     for (size_t b = 0; b < data_->dataset.blocks.size(); ++b) {
       const corpus::Block& block = data_->dataset.blocks[b];
       Rng rng_a(1000 + b), rng_b(1000 + b);
-      auto ra = compiled->ResolveBlock(block, &rng_a);
-      auto rb = interpreted->ResolveBlock(block, &rng_b);
+      auto ra = resolver->ResolveBlock(block, &rng_a);
+      faults::FaultInjector::Instance().Arm("similarity.compute", never);
+      auto rb = resolver->ResolveBlock(block, &rng_b);
+      EXPECT_EQ(
+          faults::FaultInjector::Instance().TriggerCount("similarity.compute"),
+          0);
+      faults::FaultInjector::Instance().DisarmAll();
       ASSERT_TRUE(ra.ok()) << ra.status();
       ASSERT_TRUE(rb.ok()) << rb.status();
       EXPECT_EQ(ra->clustering.labels(), rb->clustering.labels());
@@ -384,33 +403,84 @@ class CompiledPathResolver : public ::testing::Test {
 corpus::SyntheticData* CompiledPathResolver::data_ = nullptr;
 
 TEST_F(CompiledPathResolver, DefaultConfigurationIsBitIdentical) {
-  ExpectCompiledOffOnEquivalence(ResolverOptions{});
+  ExpectBatchMatchesPerPair(ResolverOptions{});
 }
 
 TEST_F(CompiledPathResolver, WeightedCombinationIsBitIdentical) {
   ResolverOptions options;
   options.combination = CombinationStrategy::kWeightedAverage;
-  ExpectCompiledOffOnEquivalence(options);
+  ExpectBatchMatchesPerPair(options);
 }
 
 TEST_F(CompiledPathResolver, IsotonicAndGatingAreBitIdentical) {
   ResolverOptions options;
   options.include_isotonic_criterion = true;
   options.min_pair_informativeness = 0.05;
-  ExpectCompiledOffOnEquivalence(options);
+  ExpectBatchMatchesPerPair(options);
 }
 
 TEST_F(CompiledPathResolver, ThresholdOnlySubsetIsBitIdentical) {
   ResolverOptions options;
   options.use_region_criteria = false;
   options.function_names = kSubsetI4;
-  ExpectCompiledOffOnEquivalence(options);
+  ExpectBatchMatchesPerPair(options);
 }
 
-TEST_F(CompiledPathResolver, ForcedScalarKernelsAreBitIdentical) {
-  text::ForceKernelMode(text::KernelMode::kScalar);
-  ExpectCompiledOffOnEquivalence(ResolverOptions{});
-  text::ForceKernelMode(text::KernelMode::kAuto);
+TEST_F(CompiledPathResolver, EvalBlockMatchesVirtualCallsOnRealMatrices) {
+  // Every criterion the resolver can fit, fitted on each block's real
+  // similarity matrices: the compiled table must give the virtual
+  // Decide / LinkProbability bits for every pair of the block.
+  auto functions = MakeFunctions(kSubsetI10);
+  ASSERT_TRUE(functions.ok()) << functions.status();
+  extract::FeatureExtractor extractor(&data_->gazetteer, {});
+  std::vector<CriterionFactory> factories =
+      MakeStandardCriterionFactories(10, 8);
+  factories.push_back([] {
+    return std::unique_ptr<DecisionCriterion>(
+        std::make_unique<IsotonicCriterion>());
+  });
+  long long checked = 0;
+  for (size_t b = 0; b < data_->dataset.blocks.size(); ++b) {
+    const corpus::Block& block = data_->dataset.blocks[b];
+    std::vector<extract::PageInput> pages;
+    for (const corpus::Document& d : block.documents) {
+      pages.push_back({d.url, d.text});
+    }
+    auto bundles = extractor.ExtractBlock(pages, block.query);
+    ASSERT_TRUE(bundles.ok()) << bundles.status();
+    Rng rng(2000 + b);
+    const auto pairs = ml::SampleTrainingPairs(block.num_documents(), 0.10,
+                                               &rng, 10);
+    for (const auto& fn : *functions) {
+      const graph::SimilarityMatrix sims =
+          ComputeSimilarityMatrix(*fn, *bundles);
+      std::vector<ml::LabeledSimilarity> training;
+      for (const auto& [a, c] : pairs) {
+        training.push_back({sims.Get(a, c), block.entity_labels[a] ==
+                                                block.entity_labels[c]});
+      }
+      const std::vector<double>& values = sims.data();
+      for (const CriterionFactory& factory : factories) {
+        std::unique_ptr<DecisionCriterion> criterion = factory();
+        ASSERT_TRUE(criterion->Fit(training, &rng).ok())
+            << fn->name() << " " << criterion->name();
+        CompiledDecision table;
+        ASSERT_TRUE(criterion->Compile(&table)) << criterion->name();
+        std::vector<char> decisions(values.size(), 2);
+        std::vector<double> probs(values.size(), -1.0);
+        table.EvalBlock(values.data(), values.size(), decisions.data(),
+                        probs.data());
+        for (size_t k = 0; k < values.size(); ++k) {
+          ASSERT_EQ(decisions[k] != 0, criterion->Decide(values[k]))
+              << fn->name() << " " << criterion->name() << " pair " << k;
+          ASSERT_EQ(probs[k], criterion->LinkProbability(values[k]))
+              << fn->name() << " " << criterion->name() << " pair " << k;
+        }
+        checked += static_cast<long long>(values.size());
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST_F(CompiledPathResolver, DimensionCorrectionsSurfaceInRunHealth) {
@@ -465,11 +535,8 @@ std::vector<FeatureBundle> PlantedStream(std::vector<int>* labels) {
 }
 
 std::unique_ptr<IncrementalResolver> MakeCalibrated(
-    const std::vector<FeatureBundle>& bundles, const std::vector<int>& labels,
-    bool compiled_path) {
-  IncrementalOptions options;
-  options.compiled_path = compiled_path;
-  auto created = IncrementalResolver::Create(options);
+    const std::vector<FeatureBundle>& bundles, const std::vector<int>& labels) {
+  auto created = IncrementalResolver::Create(IncrementalOptions{});
   EXPECT_TRUE(created.ok());
   auto resolver =
       std::make_unique<IncrementalResolver>(std::move(created).ValueOrDie());
@@ -481,15 +548,43 @@ std::unique_ptr<IncrementalResolver> MakeCalibrated(
   return resolver;
 }
 
+/// Stores every inserted score and counts lookups; installing it sends
+/// BatchResolve down the per-pair walk.
+class CountingCache : public PairScoreCache {
+ public:
+  bool Lookup(int function_index, int a, int b, double* value) override {
+    ++lookups;
+    auto it = store.find(KeyOf(function_index, a, b));
+    if (it == store.end()) return false;
+    *value = it->second;
+    return true;
+  }
+  void Insert(int function_index, int a, int b, double value) override {
+    store[KeyOf(function_index, a, b)] = value;
+  }
+  static long long KeyOf(int f, int a, int b) {
+    return (static_cast<long long>(f) << 40) |
+           (static_cast<long long>(std::min(a, b)) << 20) |
+           static_cast<long long>(std::max(a, b));
+  }
+  std::map<long long, double> store;
+  long long lookups = 0;
+};
+
 TEST(CompiledPathIncremental, BatchResolveMatchesInterpreted) {
+  // Without a cache BatchResolve scores strips through the batch kernels;
+  // with one it walks every pair through MatchScore. Both must agree.
   std::vector<int> labels;
   const auto bundles = PlantedStream(&labels);
-  auto compiled = MakeCalibrated(bundles, labels, /*compiled_path=*/true);
-  auto interpreted = MakeCalibrated(bundles, labels, /*compiled_path=*/false);
-  auto batch_a = compiled->BatchResolve();
-  auto batch_b = interpreted->BatchResolve();
+  auto resolver = MakeCalibrated(bundles, labels);
+  auto batch_a = resolver->BatchResolve();
+  CountingCache cache;
+  resolver->set_score_cache(&cache);
+  auto batch_b = resolver->BatchResolve();
+  resolver->set_score_cache(nullptr);
   ASSERT_TRUE(batch_a.ok());
   ASSERT_TRUE(batch_b.ok());
+  EXPECT_GT(cache.lookups, 0);  // the per-pair walk ran
   EXPECT_EQ(batch_a->labels(), batch_b->labels());
   EXPECT_EQ(*batch_a, graph::Clustering::FromLabels(labels));
 }
@@ -500,7 +595,7 @@ TEST(CompiledPathIncremental, ConcurrentBatchResolvesAgree) {
   // diverge.
   std::vector<int> labels;
   const auto bundles = PlantedStream(&labels);
-  auto resolver = MakeCalibrated(bundles, labels, /*compiled_path=*/true);
+  auto resolver = MakeCalibrated(bundles, labels);
   const auto expected = resolver->BatchResolve();
   ASSERT_TRUE(expected.ok());
 

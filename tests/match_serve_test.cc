@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "corpus/generator.h"
 #include "corpus/presets.h"
 #include "serve/protocol.h"
@@ -222,21 +223,21 @@ TEST_F(ResolutionServiceMatchTest, StatsAreGatedUntilFirstMatch) {
 }
 
 TEST_F(ResolutionServiceMatchTest, CompiledPathMatchIsBitIdenticalToInterpreted) {
-  // The default service scores Match through the compiled strip kernels;
-  // the same fill with compiled_path off must produce identical pairings
-  // (the kernels are bit-identical, so this is equality, not tolerance).
-  auto compiled = MakeService();
-  ServiceOptions options;
-  options.incremental.compiled_path = false;
-  auto created =
-      ResolutionService::Create(data_->dataset, &data_->gazetteer, options);
-  ASSERT_TRUE(created.ok()) << created.status();
-  auto interpreted = std::move(created).ValueOrDie();
-  Fill(compiled.get());
-  Fill(interpreted.get());
+  // Match scores through the compiled strip kernels unless a fault point is
+  // armed; arming `similarity.compute` at probability 0 (it never fires)
+  // forces the per-pair walk, which must produce identical pairings (the
+  // kernels are bit-identical, so this is equality, not tolerance).
+  auto service = MakeService();
+  Fill(service.get());
+  faults::ScopedFaultClearance clearance;
+  faults::FaultConfig never;
+  never.kind = faults::FaultKind::kNaN;
+  never.probability = 0.0;
   for (const corpus::Block& block : data_->dataset.blocks) {
-    auto a = compiled->Match(block.query, AllDocs(block));
-    auto b = interpreted->Match(block.query, AllDocs(block));
+    auto a = service->Match(block.query, AllDocs(block));
+    faults::FaultInjector::Instance().Arm("similarity.compute", never);
+    auto b = service->Match(block.query, AllDocs(block));
+    faults::FaultInjector::Instance().DisarmAll();
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
     EXPECT_EQ(a->clusters, b->clusters) << "block " << block.query;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace weber {
 namespace text {
 namespace {
@@ -10,6 +12,10 @@ struct StemCase {
   const char* word;
   const char* stem;
 };
+
+// Names each case by its word (ctest puts this GetParam() text into the
+// test name); gtest would otherwise print the two pointers' bytes.
+void PrintTo(const StemCase& c, std::ostream* os) { *os << c.word; }
 
 // Classic cases from Porter's paper and the reference implementation's
 // vocabulary.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/resolver.h"
@@ -14,11 +15,22 @@
 
 namespace weber {
 namespace core {
-namespace {
 
 using MatrixParam =
     std::tuple<CombinationStrategy, ClusteringAlgorithm, bool /*regions*/,
                bool /*isotonic*/>;
+
+// Prints the configuration instead of raw enum bytes; ctest puts this
+// GetParam() text into each test's name. Found by argument-dependent lookup,
+// so it lives in the enums' namespace.
+void PrintTo(const MatrixParam& param, std::ostream* os) {
+  *os << "(" << CombinationStrategyToString(std::get<0>(param)) << ", "
+      << ClusteringAlgorithmToString(std::get<1>(param)) << ", "
+      << (std::get<2>(param) ? "regions" : "threshold")
+      << (std::get<3>(param) ? ", isotonic" : "") << ")";
+}
+
+namespace {
 
 class ResolverMatrixTest : public ::testing::TestWithParam<MatrixParam> {
  protected:

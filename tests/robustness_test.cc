@@ -178,7 +178,9 @@ TEST_P(RobustnessTest, PersonNameParserOnGarbage) {
   Rng rng(GetParam() ^ 7);
   for (int trial = 0; trial < 300; ++trial) {
     text::PersonName name = text::ParsePersonName(RandomBytes(&rng, 50));
-    if (!name.first.empty()) EXPECT_FALSE(name.last.empty());
+    if (!name.first.empty()) {
+      EXPECT_FALSE(name.last.empty());
+    }
   }
 }
 

@@ -151,7 +151,6 @@ Result<core::ResolverOptions> OptionsFromFlags(const FlagParser& flags) {
     }
   }
   options.use_region_criteria = flags.GetBool("regions");
-  options.compiled_path = !flags.GetBool("no-compiled-path");
   const std::string combo = flags.GetString("combination");
   if (combo == "best") {
     options.combination = core::CombinationStrategy::kBestGraph;
@@ -189,10 +188,6 @@ int CmdResolve(int argc, const char* const* argv) {
   flags.AddString("out", "", "write resolutions here (optional)");
   flags.AddString("functions", "", "comma list, e.g. F3,F7,F8 (default all)");
   flags.AddBool("regions", true, "use region-accuracy decision criteria");
-  flags.AddBool("no-compiled-path", false,
-                "score through the interpreted per-pair walk instead of the "
-                "compiled batch kernels (bit-identical; debugging escape "
-                "hatch)");
   flags.AddString("combination", "best", "best | weighted | majority");
   flags.AddString("clustering", "closure",
                   "closure | correlation | agglomerative");

@@ -96,10 +96,6 @@ void AddFlags(FlagParser* flags) {
                 "auto-compact a shard after N assigns (0 = on request only)");
   flags->AddString("assignment", "mean",
                    "cluster scoring: mean (avg linkage) | max (single)");
-  flags->AddBool("no-compiled-path", false,
-                 "score through the interpreted per-pair walk instead of "
-                 "the compiled batch kernels (bit-identical; debugging "
-                 "escape hatch)");
   flags->AddDouble("train_fraction", 0.10,
                    "labeled pair fraction for threshold calibration");
   flags->AddInt("seed", 0x5E21E, "calibration sampling seed");
@@ -223,7 +219,6 @@ int Run(int argc, char** argv) {
     return Fail(Status::InvalidArgument("unknown --assignment '", assignment,
                                         "' (mean | max)"));
   }
-  options.incremental.compiled_path = !flags.GetBool("no-compiled-path");
   options.durability.data_dir = flags.GetString("data-dir");
   auto fsync = durability::ParseFsyncPolicy(flags.GetString("fsync"));
   if (!fsync.ok()) return Fail(fsync.status());
