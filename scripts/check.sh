@@ -36,7 +36,8 @@
 # kernel bit-equality / decision-fuzz / end-to-end equivalence tests, the
 # vector-similarity regression tests for the numeric edge cases the batch
 # audit flushed out, the compiled serve-match test, and a smoke run of the
-# hotpath benchmark asserting it emits well-formed JSON.
+# hotpath benchmark asserting it emits well-formed JSON (scoring, decision
+# and criterion-fit sections, each with median and quartiles).
 #
 # --rebalance-only: the fleet self-healing suite under ASan/UBSan — the
 # rebalance/drain/state-file/promotion router tests, the admin-verb race
@@ -183,6 +184,9 @@ if [[ "$MODE" == "--hotpath-only" ]]; then
   ./build-asan/bench/hotpath --quick "$scratch/BENCH_hotpath.json"
   grep -q '"compiled_scalar_pairs_per_sec"' "$scratch/BENCH_hotpath.json"
   grep -q '"scalar_speedup"' "$scratch/BENCH_hotpath.json"
+  grep -q '"fit_ms"' "$scratch/BENCH_hotpath.json"
+  grep -q '"regions-km8"' "$scratch/BENCH_hotpath.json"
+  grep -q '"q3"' "$scratch/BENCH_hotpath.json"
   echo "==> hotpath checks passed"
   exit 0
 fi

@@ -10,6 +10,7 @@ Result<IsotonicModel> IsotonicModel::Fit(
   if (training.empty()) {
     return Status::InvalidArgument("IsotonicModel: empty training set");
   }
+  WEBER_RETURN_NOT_OK(CheckFiniteTraining(training, "IsotonicModel"));
   std::vector<LabeledSimilarity> sorted = training;
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const LabeledSimilarity& a, const LabeledSimilarity& b) {

@@ -27,7 +27,7 @@ class IsotonicModel {
  public:
   /// Fits by PAV on (value, link) pairs: finds the non-decreasing function
   /// minimizing squared error against the 0/1 labels. Returns
-  /// InvalidArgument on empty input.
+  /// InvalidArgument on empty input or a non-finite value.
   static Result<IsotonicModel> Fit(
       const std::vector<LabeledSimilarity>& training);
 

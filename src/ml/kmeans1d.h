@@ -30,7 +30,8 @@ struct KMeans1DResult {
 };
 
 /// Runs Lloyd's algorithm with k-means++ seeding on scalar data.
-/// Returns InvalidArgument when k < 1 or `values` is empty.
+/// Returns InvalidArgument when k < 1, `values` is empty or holds a
+/// non-finite value.
 Result<KMeans1DResult> KMeans1D(const std::vector<double>& values, int k,
                                 Rng* rng, const KMeans1DOptions& options = {});
 

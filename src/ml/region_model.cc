@@ -49,11 +49,23 @@ int RegionModel::RegionOf(double value) const {
   return static_cast<int>(it - boundaries_.begin());
 }
 
+Status CheckFiniteTraining(const std::vector<LabeledSimilarity>& training,
+                           const char* fitter) {
+  for (const LabeledSimilarity& s : training) {
+    if (!std::isfinite(s.value)) {
+      return Status::InvalidArgument(fitter, ": non-finite training value ",
+                                     s.value);
+    }
+  }
+  return Status::OK();
+}
+
 Result<RegionAccuracyModel> RegionAccuracyModel::Fit(
     RegionModel regions, const std::vector<LabeledSimilarity>& training) {
   if (training.empty()) {
     return Status::InvalidArgument("RegionAccuracyModel: empty training set");
   }
+  WEBER_RETURN_NOT_OK(CheckFiniteTraining(training, "RegionAccuracyModel"));
   RegionAccuracyModel model;
   model.regions_ = std::move(regions);
   const int r = model.regions_.num_regions();

@@ -23,6 +23,12 @@ struct LabeledSimilarity {
   bool link = false;
 };
 
+/// InvalidArgument naming `fitter` when any training value is NaN or
+/// infinite, OK otherwise. Fitters call it before sorting: a NaN makes a
+/// `<` comparator inconsistent, which std::sort does not tolerate.
+Status CheckFiniteTraining(const std::vector<LabeledSimilarity>& training,
+                           const char* fitter);
+
 /// How the value space is partitioned.
 enum class RegionScheme : int {
   kEqualWidth = 0,  ///< [0,0.1), [0.1,0.2), ..., [0.9,1]
@@ -66,7 +72,8 @@ class RegionAccuracyModel {
  public:
   /// Fits per-region accuracies. Regions that receive no training samples
   /// fall back to the global link rate of the training set (the prior).
-  /// Returns InvalidArgument when `training` is empty.
+  /// Returns InvalidArgument when `training` is empty or holds a
+  /// non-finite value.
   static Result<RegionAccuracyModel> Fit(
       RegionModel regions, const std::vector<LabeledSimilarity>& training);
 

@@ -22,6 +22,7 @@ Result<ThresholdFit> FitOptimalThreshold(
   if (training.empty()) {
     return Status::InvalidArgument("FitOptimalThreshold: empty training set");
   }
+  WEBER_RETURN_NOT_OK(CheckFiniteTraining(training, "FitOptimalThreshold"));
   std::vector<LabeledSimilarity> sorted = training;
   std::sort(sorted.begin(), sorted.end(),
             [](const LabeledSimilarity& a, const LabeledSimilarity& b) {

@@ -23,7 +23,8 @@ struct ThresholdFit {
 /// Scans all candidate cut points (midpoints between adjacent distinct
 /// training values, plus the extremes 0 and 1) and returns the threshold
 /// maximizing training accuracy. Ties prefer the lowest threshold, which
-/// favors recall on unseen pairs. Returns InvalidArgument on empty input.
+/// favors recall on unseen pairs. Returns InvalidArgument on empty input or
+/// a non-finite value.
 Result<ThresholdFit> FitOptimalThreshold(
     const std::vector<LabeledSimilarity>& training);
 

@@ -14,7 +14,6 @@ FrozenVectors FrozenVectors::Freeze(
   frozen.offsets_.resize(n + 1, 0);
   frozen.norms_.resize(n, 0.0);
   frozen.sums_.resize(n, 0.0);
-  frozen.sum_squares_.resize(n, 0.0);
 
   int64_t total = 0;
   for (int i = 0; i < n; ++i) {
@@ -44,7 +43,6 @@ FrozenVectors FrozenVectors::Freeze(
       sum_squares += e.weight * e.weight;
     }
     frozen.sums_[i] = sum;
-    frozen.sum_squares_[i] = sum_squares;
     frozen.norms_[i] = std::sqrt(sum_squares);
   }
   return frozen;
@@ -151,7 +149,7 @@ void BatchScorer::PreparePearson(int dimension) {
     const double mean = frozen_->sums_[i] / nd;
     // Replicates the scalar variance loop exactly: the -n*m² start value
     // participates in every intermediate rounding, so Σw² cannot be
-    // substituted from the cached sum_squares_.
+    // substituted by a precomputed sum of squares.
     double var = -nd * mean * mean;
     for (int64_t k = frozen_->offsets_[i]; k < frozen_->offsets_[i + 1]; ++k) {
       var += frozen_->weights_[k] * frozen_->weights_[k];

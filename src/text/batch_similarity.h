@@ -30,8 +30,8 @@ namespace weber {
 namespace text {
 
 /// A block's sparse vectors frozen into contiguous CSR arrays, with the
-/// per-vector statistics (Euclidean norm, weight sum, sum of squared
-/// weights) the composite measures need.
+/// per-vector statistics (Euclidean norm, weight sum) the composite
+/// measures need.
 class FrozenVectors {
  public:
   FrozenVectors() = default;
@@ -40,9 +40,6 @@ class FrozenVectors {
   static FrozenVectors Freeze(const std::vector<const SparseVector*>& vectors);
 
   int size() const { return static_cast<int>(norms_.size()); }
-  double norm(int i) const { return norms_[i]; }
-  double sum(int i) const { return sums_[i]; }
-  double sum_squares(int i) const { return sum_squares_[i]; }
   /// Largest term id across all frozen vectors, or -1 when all are empty.
   int32_t max_id() const { return max_id_; }
 
@@ -58,7 +55,6 @@ class FrozenVectors {
   // SparseVector::Norm / SparseVector::Sum (bit-identical).
   std::vector<double> norms_;
   std::vector<double> sums_;
-  std::vector<double> sum_squares_;
 
   int32_t max_id_ = -1;
 };

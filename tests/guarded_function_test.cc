@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 
+#include "core/decision.h"
 #include "core/resolver.h"
 #include "corpus/generator.h"
 #include "corpus/presets.h"
@@ -197,6 +198,52 @@ TEST_F(GuardedResolverTest, AllFunctionsQuarantinedFallsBackGracefully) {
   EXPECT_EQ(r->health.degraded_blocks, 1);
   EXPECT_TRUE(r->chosen_source.rfind("fallback/", 0) == 0)
       << r->chosen_source;
+}
+
+TEST_F(GuardedResolverTest, UnguardedNaNFunctionSkipsItsCriteria) {
+  // With the guard off, NaN similarities reach the criterion fitters, which
+  // must reject them (before any sort) instead of fitting garbage.
+  ResolverOptions options;
+  options.guard_functions = false;
+  options.include_isotonic_criterion = true;
+
+  auto healthy = MakeFunctions(kSubsetI4);
+  ASSERT_TRUE(healthy.ok());
+  auto clean_resolver = EntityResolver::CreateWithFunctions(
+      &data_->gazetteer, options, std::move(healthy).ValueOrDie());
+  ASSERT_TRUE(clean_resolver.ok()) << clean_resolver.status();
+
+  auto poisoned = MakeFunctions(kSubsetI4);
+  ASSERT_TRUE(poisoned.ok());
+  auto functions = std::move(poisoned).ValueOrDie();
+  functions.push_back(std::make_unique<ConstantFunction>(
+      std::numeric_limits<double>::quiet_NaN()));
+  auto dirty_resolver = EntityResolver::CreateWithFunctions(
+      &data_->gazetteer, options, std::move(functions));
+  ASSERT_TRUE(dirty_resolver.ok()) << dirty_resolver.status();
+
+  const corpus::Block& block = data_->dataset.blocks[0];
+  Rng clean_rng(0xABC);
+  Rng dirty_rng(0xABC);
+  auto clean = clean_resolver->ResolveBlock(block, &clean_rng);
+  auto dirty = dirty_resolver->ResolveBlock(block, &dirty_rng);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_TRUE(dirty.ok()) << dirty.status();
+
+  // Threshold, equal-width, k-means and isotonic: every criterion of the
+  // NaN function is skipped, and none of its sources survives.
+  const long long per_function =
+      static_cast<long long>(MakeStandardCriterionFactories(
+                                 options.equal_width_bins, options.kmeans_k)
+                                 .size()) +
+      1;
+  EXPECT_EQ(dirty->health.skipped_criteria,
+            clean->health.skipped_criteria + per_function);
+  for (const auto& source : dirty->sources) {
+    EXPECT_NE(source.function_name, "const");
+  }
+  EXPECT_EQ(dirty->sources.size(), clean->sources.size());
+  EXPECT_EQ(dirty->clustering.labels(), clean->clustering.labels());
 }
 
 TEST_F(GuardedResolverTest, GuardDisabledReproducesGuardedResults) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 #include "core/decision.h"
 
@@ -11,6 +13,17 @@ namespace {
 
 TEST(IsotonicTest, RejectsEmpty) {
   EXPECT_FALSE(IsotonicModel::Fit({}).ok());
+}
+
+TEST(IsotonicTest, RejectsNonFiniteValues) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<LabeledSimilarity> training(40, {0.5, true});
+    training[23].value = bad;
+    EXPECT_EQ(IsotonicModel::Fit(training).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(IsotonicTest, PerfectlySeparableDataGivesTwoLevels) {

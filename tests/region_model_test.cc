@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace weber {
 namespace ml {
 namespace {
@@ -56,6 +58,16 @@ TEST(RegionModelTest, KMeansRegionsRejectEmptyInput) {
 TEST(RegionAccuracyModelTest, FitRejectsEmptyTraining) {
   auto m = RegionAccuracyModel::Fit(RegionModel::EqualWidth(10), {});
   EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RegionAccuracyModelTest, FitRejectsNonFiniteTraining) {
+  std::vector<LabeledSimilarity> training(40, {0.5, true});
+  training[23].value = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(RegionAccuracyModel::FitEqualWidth(training, 10).status().code(),
+            StatusCode::kInvalidArgument);
+  Rng rng(3);
+  EXPECT_EQ(RegionAccuracyModel::FitKMeans(training, 4, &rng).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RegionAccuracyModelTest, PerRegionLinkRates) {

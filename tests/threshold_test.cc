@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 
 namespace weber {
@@ -19,6 +21,18 @@ TEST(ThresholdAccuracyTest, CountsCorrectDecisions) {
 
 TEST(FitOptimalThresholdTest, RejectsEmpty) {
   EXPECT_FALSE(FitOptimalThreshold({}).ok());
+}
+
+TEST(FitOptimalThresholdTest, RejectsNonFiniteValues) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    // Long enough for std::sort's introsort path.
+    std::vector<LabeledSimilarity> training(40, {0.5, true});
+    training[23].value = bad;
+    EXPECT_EQ(FitOptimalThreshold(training).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(FitOptimalThresholdTest, PerfectlySeparableData) {
