@@ -1,8 +1,8 @@
 // Hot-path benchmark: pair-scoring throughput of the per-pair walk vs the
 // compiled batch kernels, decision-table evaluation, and criterion fitting.
 //
-// For each block size the seven batchable vector functions (F1, F4, F5,
-// F6, F8, F9, F10) score the full upper triangle two ways:
+// For each block size the seven sparse-vector functions (F1, F4, F5, F6,
+// F8, F9, F10) score the full upper triangle two ways:
 //
 //   interpreted      — virtual SimilarityFunction::Compute per pair
 //   compiled-scalar  — BlockScorer strips through the scalar kernels
@@ -11,6 +11,16 @@
 // LinkProbability) vs CompiledDecision::EvalBlock. Both scoring modes
 // produce bit-identical scores (one pass of each is checked before timing),
 // so the ratio is pure speed.
+//
+// The string section scores the three string functions (F2, F3, F7) the
+// same two ways on real extracted blocks of the www05 preset as generated
+// (about 100 pages per block) and with 4x documents and entities per name
+// (about 400 pages, resolve_large's blocks). A strip pass builds a fresh
+// BlockScorer, so it pays for interning and for filling the Jaro-Winkler
+// memo. The gain comes from values repeating inside a block, so each row
+// reports k, the number of distinct values the memo is keyed by (non-empty
+// hosts for F2, non-empty names for F3 / F7), and times each function on
+// the corpus block where its k is largest: the least repetitive block.
 //
 // The fit section times DecisionCriterion::Fit for the resolver's standard
 // criteria (threshold, 10 equal-width regions, 8 k-means regions) on
@@ -22,6 +32,8 @@
 // median and quartiles. Emits BENCH_hotpath.json.
 //
 // Usage: hotpath [--quick] [output.json]
+// (--quick: fewer and shorter samples, one block size, and the string
+// section on one tiny-preset block.)
 
 #include <algorithm>
 #include <cstring>
@@ -29,7 +41,9 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -38,6 +52,7 @@
 #include "core/compiled_path.h"
 #include "core/decision.h"
 #include "extract/feature_extractor.h"
+#include "extract/url.h"
 #include "ml/splitter.h"
 
 using namespace weber;
@@ -97,11 +112,95 @@ struct SizeResult {
   Quartiles decision_compiled;
 };
 
+struct StringResult {
+  std::string function;
+  std::string block;
+  int block_size = 0;
+  int distinct = 0;
+  long long pairs = 0;
+  Quartiles per_pair;
+  Quartiles strip;
+};
+
 struct FitResult {
   std::string criterion;
   int n = 0;
   Quartiles fit_ms;
 };
+
+using Blocks = std::vector<std::vector<extract::FeatureBundle>>;
+
+/// Extracts the bundles of every block of `config`'s corpus.
+Blocks ExtractBlocks(const corpus::GeneratorConfig& config) {
+  corpus::SyntheticData data = bench::GenerateOrDie(config);
+  extract::FeatureExtractor extractor(&data.gazetteer, {});
+  Blocks blocks;
+  for (const corpus::Block& block : data.dataset.blocks) {
+    std::vector<extract::PageInput> pages;
+    for (const corpus::Document& d : block.documents) {
+      pages.push_back({d.url, d.text});
+    }
+    blocks.push_back(bench::CheckResult(
+        extractor.ExtractBlock(pages, block.query), "feature extraction"));
+  }
+  return blocks;
+}
+
+/// k for one string function on one block: the number of distinct
+/// non-empty values its Jaro-Winkler memo is keyed by.
+int DistinctValues(const core::BatchSpec& spec,
+                   const std::vector<extract::FeatureBundle>& bundles) {
+  std::set<std::string> values;
+  for (const extract::FeatureBundle& b : bundles) {
+    std::string v = spec.field == core::BatchSpec::Field::kUrl
+                        ? extract::MakeUrlKey(b.url).host
+                    : spec.field == core::BatchSpec::Field::kMostFrequentName
+                        ? b.most_frequent_name
+                        : b.closest_name;
+    if (!v.empty()) values.insert(std::move(v));
+  }
+  return static_cast<int>(values.size());
+}
+
+bool IsStringMeasure(core::BatchSpec::Measure m) {
+  return m == core::BatchSpec::Measure::kUrl ||
+         m == core::BatchSpec::Measure::kJaroWinkler;
+}
+
+/// Sum of every function over the upper triangle, per-pair Compute.
+double PerPairPass(const std::vector<core::SimilarityFunction*>& fns,
+                   const std::vector<extract::FeatureBundle>& bundles) {
+  const int n = static_cast<int>(bundles.size());
+  double sum = 0.0;
+  for (const core::SimilarityFunction* fn : fns) {
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        sum += fn->Compute(bundles[a], bundles[b]);
+      }
+    }
+  }
+  return sum;
+}
+
+/// The same sum, same order, through one fresh BlockScorer's strips.
+double StripPass(const std::vector<core::BatchSpec>& specs,
+                 const std::vector<extract::FeatureBundle>& bundles) {
+  const int n = static_cast<int>(bundles.size());
+  core::BlockScorer scorer(&bundles);
+  std::vector<double> strip(n);
+  double sum = 0.0;
+  for (const core::BatchSpec& spec : specs) {
+    if (!scorer.CanBatch(spec)) {
+      std::cerr << "spec unexpectedly not batchable\n";
+      std::exit(1);
+    }
+    for (int a = 0; a < n - 1; ++a) {
+      scorer.ScoreStrip(spec, a, a + 1, n, strip.data());
+      for (int k = 0; k < n - a - 1; ++k) sum += strip[k];
+    }
+  }
+  return sum;
+}
 
 /// Tiles the extracted bundles of one synthetic block up to `n` documents,
 /// so every size benchmarks the same realistic feature distributions.
@@ -161,13 +260,17 @@ int main(int argc, char** argv) {
 
   auto functions = bench::CheckResult(core::MakeFunctions(core::kSubsetI10),
                                       "function registry");
-  // Keep only the kernel-covered vector functions; the string/composed
-  // functions are identical in all modes and would only dilute the ratio.
+  // The scoring section keeps the sparse-vector functions (its columns stay
+  // comparable across revisions); the string functions have their own
+  // section below.
   std::vector<core::SimilarityFunction*> batchable;
   std::vector<core::BatchSpec> specs;
+  std::vector<core::SimilarityFunction*> string_functions;
   for (const auto& fn : functions) {
     const core::BatchSpec spec = fn->batch_spec();
-    if (spec.batchable()) {
+    if (IsStringMeasure(spec.measure)) {
+      string_functions.push_back(fn.get());
+    } else if (spec.batchable()) {
       batchable.push_back(fn.get());
       specs.push_back(spec);
     }
@@ -200,34 +303,8 @@ int main(int argc, char** argv) {
     r.block_size = n;
     r.pairs = pairs_per_rep;
 
-    auto interpreted_pass = [&] {
-      double sum = 0.0;
-      for (core::SimilarityFunction* fn : batchable) {
-        for (int a = 0; a < n; ++a) {
-          for (int b = a + 1; b < n; ++b) {
-            sum += fn->Compute(bundles[a], bundles[b]);
-          }
-        }
-      }
-      return sum;
-    };
-
-    auto compiled_pass = [&] {
-      core::BlockScorer scorer(&bundles);
-      std::vector<double> strip(n);
-      double sum = 0.0;
-      for (size_t f = 0; f < batchable.size(); ++f) {
-        if (!scorer.CanBatch(specs[f])) {
-          std::cerr << "spec unexpectedly not batchable\n";
-          std::exit(1);
-        }
-        for (int a = 0; a < n - 1; ++a) {
-          scorer.ScoreStrip(specs[f], a, a + 1, n, strip.data());
-          for (int k = 0; k < n - a - 1; ++k) sum += strip[k];
-        }
-      }
-      return sum;
-    };
+    auto interpreted_pass = [&] { return PerPairPass(batchable, bundles); };
+    auto compiled_pass = [&] { return StripPass(specs, bundles); };
     // Same pairs, same order, same raw values: the sums match bitwise.
     if (interpreted_pass() != compiled_pass()) {
       std::cerr << "n=" << n << ": compiled scores differ from per-pair\n";
@@ -275,6 +352,66 @@ int main(int argc, char** argv) {
     std::cout << "n=" << n << "  interpreted " << r.interpreted.median
               << " pairs/s, scalar " << r.compiled_scalar.median << " (x"
               << r.compiled_scalar.median / r.interpreted.median << ")\n";
+  }
+
+  // String functions on real blocks.
+  std::vector<std::pair<std::string, Blocks>> string_corpora;
+  if (quick) {
+    string_corpora.push_back({"tiny", {seed_bundles}});
+  } else {
+    corpus::GeneratorConfig config = corpus::Www05Config();
+    string_corpora.push_back({"www05", ExtractBlocks(config)});
+    for (corpus::NameSpec& name : config.names) {
+      name.num_documents *= 4;
+      name.num_entities *= 4;
+    }
+    string_corpora.push_back({"large", ExtractBlocks(config)});
+  }
+  std::vector<StringResult> string_results;
+  for (const auto& [block_name, blocks] : string_corpora) {
+    for (core::SimilarityFunction* fn : string_functions) {
+      const core::BatchSpec spec = fn->batch_spec();
+      const std::vector<extract::FeatureBundle>* least_repetitive = nullptr;
+      int distinct = -1;
+      for (const auto& block : blocks) {
+        const int k = DistinctValues(spec, block);
+        if (k > distinct) {
+          distinct = k;
+          least_repetitive = &block;
+        }
+      }
+      const std::vector<extract::FeatureBundle>& bundles = *least_repetitive;
+      const int n = static_cast<int>(bundles.size());
+      if (PerPairPass({fn}, bundles) != StripPass({spec}, bundles)) {
+        std::cerr << fn->name() << " on " << block_name
+                  << ": strip scores differ from per-pair\n";
+        return 1;
+      }
+      StringResult r;
+      r.function = std::string(fn->name());
+      r.block = block_name;
+      r.block_size = n;
+      r.distinct = distinct;
+      r.pairs = static_cast<long long>(n) * (n - 1) / 2;
+      const double units = static_cast<double>(r.pairs);
+      const std::vector<Quartiles> timed = SampleAlternating(
+          {[&] {
+             return Rate(units, budget_s,
+                         [&] { sink += PerPairPass({fn}, bundles); });
+           },
+           [&] {
+             return Rate(units, budget_s,
+                         [&] { sink += StripPass({spec}, bundles); });
+           }},
+          samples);
+      r.per_pair = timed[0];
+      r.strip = timed[1];
+      string_results.push_back(r);
+      std::cout << r.function << " " << block_name << " n=" << n
+                << " k=" << r.distinct << "  per-pair " << r.per_pair.median
+                << " pairs/s, strip " << r.strip.median << " (x"
+                << r.strip.median / r.per_pair.median << ")\n";
+    }
   }
 
   // Criterion fitting: each repetition fits a fresh criterion with a fresh
@@ -329,6 +466,18 @@ int main(int argc, char** argv) {
         << r.decision_interpreted
         << ",\n     \"decision_compiled_vals_per_sec\": "
         << r.decision_compiled << "}";
+  }
+  out << "\n  ],\n  \"string_scoring\": [";
+  for (size_t i = 0; i < string_results.size(); ++i) {
+    const StringResult& r = string_results[i];
+    out << (i ? "," : "") << "\n    {\"function\": \"" << r.function
+        << "\", \"block\": \"" << r.block
+        << "\", \"block_size\": " << r.block_size
+        << ", \"distinct\": " << r.distinct << ", \"pairs\": " << r.pairs
+        << ",\n     \"per_pair_pairs_per_sec\": " << r.per_pair
+        << ",\n     \"strip_pairs_per_sec\": " << r.strip
+        << ",\n     \"strip_speedup\": "
+        << r.strip.median / r.per_pair.median << "}";
   }
   out << "\n  ],\n  \"fit\": [";
   for (size_t i = 0; i < fits.size(); ++i) {

@@ -33,11 +33,13 @@
 # loss, and dump byte-identity through the router).
 #
 # --hotpath-only: the compiled hot path under ASan/UBSan — the scalar
-# kernel bit-equality / decision-fuzz / end-to-end equivalence tests, the
-# vector-similarity regression tests for the numeric edge cases the batch
-# audit flushed out, the compiled serve-match test, and a smoke run of the
-# hotpath benchmark asserting it emits well-formed JSON (scoring, decision
-# and criterion-fit sections, each with median and quartiles).
+# kernel bit-equality / string-strip edge-case / decision-fuzz / end-to-end
+# equivalence tests, the vector-similarity regression tests for the numeric
+# edge cases the batch audit flushed out, the URL and string-similarity
+# tests behind the string strips, the compiled serve-match test, and a
+# smoke run of the hotpath benchmark asserting it emits well-formed JSON
+# (scoring, string-scoring, decision and criterion-fit sections, each with
+# median and quartiles).
 #
 # --rebalance-only: the fleet self-healing suite under ASan/UBSan — the
 # rebalance/drain/state-file/promotion router tests, the admin-verb race
@@ -176,7 +178,7 @@ if [[ "$MODE" == "--hotpath-only" ]]; then
   echo "==> compiled hot-path suite (address;undefined)"
   run_suite build-asan -DWEBER_SANITIZE="address;undefined"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'CompiledPath|VectorSimilarity|SparseVector|SimilarityFunctions|ResolutionServiceMatch|Decision'
+    -R 'CompiledPath|VectorSimilarity|SparseVector|SimilarityFunctions|ResolutionServiceMatch|Decision|UrlSimilarity|UrlKey|ParseUrl|RegistrableDomain|StringSimilarity'
   echo "==> hotpath bench smoke (quick mode)"
   scratch="build-asan/hotpath_smoke"
   rm -rf "$scratch"
@@ -187,6 +189,7 @@ if [[ "$MODE" == "--hotpath-only" ]]; then
   grep -q '"fit_ms"' "$scratch/BENCH_hotpath.json"
   grep -q '"regions-km8"' "$scratch/BENCH_hotpath.json"
   grep -q '"q3"' "$scratch/BENCH_hotpath.json"
+  grep -q '"strip_pairs_per_sec"' "$scratch/BENCH_hotpath.json"
   echo "==> hotpath checks passed"
   exit 0
 fi

@@ -1,9 +1,37 @@
 #include "core/compiled_path.h"
 
 #include <cassert>
+#include <string>
+#include <unordered_map>
+
+#include "text/string_similarity.h"
 
 namespace weber {
 namespace core {
+
+namespace {
+
+using InternIndex = std::unordered_map<std::string_view, int>;
+
+/// Each distinct non-empty string gets the next id in first-seen order; the
+/// empty string gets -1. The viewed string must outlive the index.
+int Intern(std::string_view value, InternIndex* index) {
+  if (value.empty()) return -1;
+  return index->try_emplace(value, static_cast<int>(index->size()))
+      .first->second;
+}
+
+std::vector<std::string_view> ValuesById(const InternIndex& index) {
+  std::vector<std::string_view> values(index.size());
+  for (const auto& [value, id] : index) values[id] = value;
+  return values;
+}
+
+bool IsStringField(BatchSpec::Field field) {
+  return static_cast<int>(field) >= static_cast<int>(BatchSpec::Field::kUrl);
+}
+
+}  // namespace
 
 void CompiledDecision::EvalBlock(const double* values, size_t count,
                                  char* decisions, double* link_probs) const {
@@ -77,6 +105,9 @@ BlockScorer::Field& BlockScorer::GetField(BatchSpec::Field field) {
       case BatchSpec::Field::kTfidf:
         vectors.push_back(&b.tfidf);
         break;
+      default:
+        assert(false && "string fields are interned, not frozen");
+        break;
     }
   }
   f.frozen = text::FrozenVectors::Freeze(vectors);
@@ -85,9 +116,68 @@ BlockScorer::Field& BlockScorer::GetField(BatchSpec::Field field) {
   return f;
 }
 
+void BlockScorer::JaroWinklerMemo::Reset(
+    std::vector<std::string_view> distinct) {
+  values = std::move(distinct);
+  memo.assign(values.size(), {});
+}
+
+double BlockScorer::JaroWinklerMemo::Get(int a, int b) {
+  std::vector<double>& row = memo[a];
+  if (row.empty()) row.assign(values.size(), -1.0);
+  double& jw = row[b];
+  if (jw < 0.0) jw = text::JaroWinklerSimilarity(values[a], values[b]);
+  return jw;
+}
+
+BlockScorer::NameField& BlockScorer::GetNames(BatchSpec::Field field) {
+  const bool closest = field == BatchSpec::Field::kClosestName;
+  NameField& f = names_[closest ? 1 : 0];
+  if (f.ready) return f;
+  InternIndex index;
+  f.ids.reserve(bundles_->size());
+  for (const extract::FeatureBundle& b : *bundles_) {
+    f.ids.push_back(
+        Intern(closest ? b.closest_name : b.most_frequent_name, &index));
+  }
+  f.jw.Reset(ValuesById(index));
+  f.ready = true;
+  return f;
+}
+
+void BlockScorer::PrepareUrls() {
+  if (urls_ready_) return;
+  url_keys_.reserve(bundles_->size());
+  for (const extract::FeatureBundle& b : *bundles_) {
+    url_keys_.push_back(extract::MakeUrlKey(b.url));
+  }
+  // url_keys_ is complete and never grows again, so views into its strings
+  // stay valid for the scorer's lifetime.
+  InternIndex hosts, paths, first_dirs, domains;
+  urls_.reserve(url_keys_.size());
+  for (const extract::UrlKey& key : url_keys_) {
+    urls_.push_back({Intern(key.host, &hosts), Intern(key.path, &paths),
+                     Intern(key.first_dir, &first_dirs),
+                     Intern(key.registrable_domain, &domains)});
+  }
+  hosts_.Reset(ValuesById(hosts));
+  urls_ready_ = true;
+}
+
 bool BlockScorer::CanBatch(const BatchSpec& spec) {
-  if (!spec.batchable()) return false;
-  if (spec.measure != BatchSpec::Measure::kPearson) return true;
+  switch (spec.measure) {
+    case BatchSpec::Measure::kNone:
+      return false;
+    case BatchSpec::Measure::kUrl:
+      return spec.field == BatchSpec::Field::kUrl;
+    case BatchSpec::Measure::kJaroWinkler:
+      return spec.field == BatchSpec::Field::kMostFrequentName ||
+             spec.field == BatchSpec::Field::kClosestName;
+    default:
+      if (IsStringField(spec.field)) return false;
+      if (spec.measure != BatchSpec::Measure::kPearson) return true;
+      break;
+  }
 
   if (pearson_state_ == 0) {
     // Pearson batches only when the interpreted per-pair ambient dimension
@@ -119,6 +209,26 @@ bool BlockScorer::CanBatch(const BatchSpec& spec) {
 
 void BlockScorer::ScoreStrip(const BatchSpec& spec, int anchor, int begin,
                              int end, double* out) {
+  if (spec.measure == BatchSpec::Measure::kUrl) {
+    PrepareUrls();
+    const InternedUrl& a = urls_[anchor];
+    for (int j = begin; j < end; ++j) {
+      const InternedUrl& b = urls_[j];
+      out[j - begin] = extract::UrlSimilarityLadder(
+          a, b, [&] { return hosts_.Get(a.host, b.host); });
+    }
+    return;
+  }
+  if (spec.measure == BatchSpec::Measure::kJaroWinkler) {
+    NameField& f = GetNames(spec.field);
+    const int a = f.ids[anchor];
+    for (int j = begin; j < end; ++j) {
+      const int b = f.ids[j];
+      // The per-pair functions score a pair with an empty name at 0.
+      out[j - begin] = a < 0 || b < 0 ? 0.0 : f.jw.Get(a, b);
+    }
+    return;
+  }
   Field& f = GetField(spec.field);
   f.scorer->SetAnchor(anchor);
   switch (spec.measure) {
@@ -135,8 +245,8 @@ void BlockScorer::ScoreStrip(const BatchSpec& spec, int anchor, int begin,
     case BatchSpec::Measure::kExtendedJaccard:
       f.scorer->ExtendedJaccard(begin, end, out);
       break;
-    case BatchSpec::Measure::kNone:
-      assert(false && "ScoreStrip on a non-batchable spec");
+    default:
+      assert(false && "ScoreStrip on a spec CanBatch refuses");
       break;
   }
 }

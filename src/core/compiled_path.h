@@ -16,7 +16,10 @@
 //   * BlockScorer — a block's FeatureBundles frozen into the text layer's
 //     CSR/SoA arenas (text::FrozenVectors, one per feature family), scoring
 //     each function's full similarity matrix with one-against-strip scalar
-//     kernels instead of per-pair Compute calls.
+//     kernels instead of per-pair Compute calls. String fields (URL, the
+//     two names) are interned per block into integer ids instead: each URL
+//     is parsed once, the URL ladder compares ids, and Jaro-Winkler comes
+//     from a memo keyed by the ordered value-id pair.
 //   * BakeCombineWeights / FusedWeightedAverage — the weighted-average
 //     combiner's accuracy weights baked once, each pair combined as a fused
 //     dot product over the sources.
@@ -25,7 +28,9 @@
 // fallback for functions and criteria without a compiled form, and as the
 // test oracle. Equivalence guarantee: every compiled evaluation is
 // BIT-IDENTICAL to its per-pair counterpart (see batch_similarity.h for the
-// kernels; CompiledDecision reproduces the exact comparison semantics of
+// kernels; the string strips share extract::UrlSimilarityLadder with the
+// per-pair URL measure and call Jaro-Winkler with the per-pair argument
+// order; CompiledDecision reproduces the exact comparison semantics of
 // each criterion, including NaN ordering and the region models' input
 // clamp). compiled_path_test checks the equivalence per kernel, per
 // criterion and end to end.
@@ -37,10 +42,12 @@
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/similarity_function.h"
 #include "extract/feature_bundle.h"
+#include "extract/url.h"
 #include "graph/pair_matrix.h"
 #include "text/batch_similarity.h"
 
@@ -121,21 +128,24 @@ void FusedWeightedAverage(const std::vector<const double*>& source_probs,
                           const CompiledCombineWeights& baked,
                           size_t num_pairs, double* out);
 
-/// Batched pair scoring for one block: freezes each required FeatureBundle
-/// field family into text::FrozenVectors (lazily, on first use) and scores
-/// whole similarity matrices / strips through the batch kernels. Not
-/// thread-safe; use one scorer per resolve call (freezing is per block).
+/// Batched pair scoring for one block. On first use of a field it freezes
+/// a sparse-vector field into text::FrozenVectors, or interns a string
+/// field into per-block ids; it then scores whole similarity matrices /
+/// strips through the batch kernels and id tables. Not thread-safe; use one
+/// scorer per resolve call (freezing and interning are per block).
 class BlockScorer {
  public:
   /// The bundles must outlive the scorer and not change while it is used.
   explicit BlockScorer(const std::vector<extract::FeatureBundle>* bundles);
 
-  /// True when `spec` can be scored by the batch kernels for THIS block.
-  /// Always true for cosine / saturating-overlap / extended-Jaccard specs;
-  /// Pearson additionally requires a block-constant ambient dimension
-  /// (every bundle shares one tfidf_dimension ≥ 2 that bounds every term
-  /// id), because the interpreted per-pair dimension max(dim, union) must
-  /// collapse to that constant. Non-batchable specs always return false.
+  /// True when `spec` can be scored in batch for THIS block. Always true
+  /// for cosine / saturating-overlap / extended-Jaccard specs and for the
+  /// string measures (a measure paired with a field of the other kind is
+  /// refused); Pearson additionally requires a block-constant ambient
+  /// dimension (every bundle shares one tfidf_dimension ≥ 2 that bounds
+  /// every term id), because the interpreted per-pair dimension
+  /// max(dim, union) must collapse to that constant. Non-batchable specs
+  /// always return false.
   bool CanBatch(const BatchSpec& spec);
 
   /// The full similarity matrix for `spec`, values clamped into [0, 1] —
@@ -145,7 +155,8 @@ class BlockScorer {
 
   /// Scores bundle `anchor` against bundles [begin, end) under `spec`,
   /// writing raw (unclamped) measure values — bit-identical to
-  /// fn.Compute(bundles[anchor], bundles[j]). Requires CanBatch(spec).
+  /// fn.Compute(bundles[anchor], bundles[j]), also for j < anchor.
+  /// Requires CanBatch(spec).
   void ScoreStrip(const BatchSpec& spec, int anchor, int begin, int end,
                   double* out);
 
@@ -158,10 +169,52 @@ class BlockScorer {
     std::unique_ptr<text::BatchScorer> scorer;
   };
 
+  /// The distinct non-empty values of one string field of the block, with
+  /// a Jaro-Winkler memo keyed by the ORDERED id pair: memo[a][b] =
+  /// JaroWinklerSimilarity(values[a], values[b]), -1.0 until first needed
+  /// (Jaro-Winkler lies in [0, 1]). Keeping the argument order of the
+  /// per-pair call makes each entry bit-identical to it without relying on
+  /// Jaro-Winkler being symmetric. A row is allocated when its value first
+  /// anchors a lookup, so the memo holds at most k² doubles for k values.
+  struct JaroWinklerMemo {
+    std::vector<std::string_view> values;
+    std::vector<std::vector<double>> memo;
+
+    /// Installs the distinct values (by id) and an empty memo.
+    void Reset(std::vector<std::string_view> distinct);
+    double Get(int a, int b);
+  };
+
+  /// A name field interned: each bundle's value as an id into `jw.values`,
+  /// -1 for an empty name.
+  struct NameField {
+    bool ready = false;
+    std::vector<int> ids;
+    JaroWinklerMemo jw;
+  };
+
+  /// A page URL's extract::UrlKey with every field interned per block, -1
+  /// for an empty field (so an unparseable URL has host -1). Equal ids mean
+  /// equal strings, so extract::UrlSimilarityLadder runs on it unchanged.
+  struct InternedUrl {
+    int host = -1;
+    int path = -1;
+    int first_dir = -1;
+    int registrable_domain = -1;
+  };
+
   Field& GetField(BatchSpec::Field field);
+  NameField& GetNames(BatchSpec::Field field);
+  void PrepareUrls();
 
   const std::vector<extract::FeatureBundle>* bundles_;
   std::array<Field, 5> fields_;
+  std::array<NameField, 2> names_;  // most_frequent_name, closest_name
+
+  bool urls_ready_ = false;
+  std::vector<extract::UrlKey> url_keys_;  // owns the strings hosts_ views
+  std::vector<InternedUrl> urls_;
+  JaroWinklerMemo hosts_;
 
   int pearson_state_ = 0;  // 0 = unknown, 1 = eligible, -1 = ineligible
   int pearson_dim_ = 0;    // the shared ambient dimension when eligible

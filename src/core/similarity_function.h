@@ -17,10 +17,12 @@
 namespace weber {
 namespace core {
 
-/// Declares that a similarity function is a standard sparse-vector measure
-/// over one FeatureBundle field, so the compiled hot path (compiled_path.h)
-/// may score it with the batched text kernels instead of per-pair Compute
-/// calls. kNone means "no batch form; always call Compute".
+/// Declares that a similarity function is one of the measures the compiled
+/// hot path (compiled_path.h) scores in batches: a sparse-vector measure
+/// over one vector field (text kernels over the block's frozen vectors), or
+/// a string measure over one string field (per-block interned ids plus a
+/// memoised Jaro-Winkler table). kNone means "no batch form; always call
+/// Compute".
 struct BatchSpec {
   enum class Measure : int {
     kNone = 0,
@@ -28,13 +30,22 @@ struct BatchSpec {
     kSaturatingOverlap = 2,
     kPearson = 3,
     kExtendedJaccard = 4,
+    /// extract::UrlSimilarity over a URL field.
+    kUrl = 5,
+    /// 0 when either string is empty, else text::JaroWinklerSimilarity.
+    kJaroWinkler = 6,
   };
   enum class Field : int {
+    // Sparse-vector fields.
     kWeightedConcepts = 0,
     kConcepts = 1,
     kOrganizations = 2,
     kOtherPersons = 3,
     kTfidf = 4,
+    // String fields.
+    kUrl = 5,
+    kMostFrequentName = 6,
+    kClosestName = 7,
   };
 
   Measure measure = Measure::kNone;
@@ -64,8 +75,8 @@ class SimilarityFunction {
                          const extract::FeatureBundle& b) const = 0;
 
   /// Batch form of this function, if any. A non-kNone spec promises that
-  /// Compute(a, b) is EXACTLY the declared text-kernel measure applied to
-  /// the declared field (the compiled path asserts bit-identical results in
+  /// Compute(a, b) is EXACTLY the declared measure applied to the declared
+  /// field (the compiled path asserts bit-identical results in
   /// its equivalence tests). The default is "not batchable", which is
   /// always safe: the compiled path falls back to per-pair Compute.
   virtual BatchSpec batch_spec() const { return BatchSpec{}; }

@@ -41,6 +41,9 @@ class F2UrlSimilarity final : public SimilarityFunction {
   double Compute(const FeatureBundle& a, const FeatureBundle& b) const override {
     return extract::UrlSimilarity(a.url, b.url);
   }
+  BatchSpec batch_spec() const override {
+    return {BatchSpec::Measure::kUrl, BatchSpec::Field::kUrl, 0.0};
+  }
 };
 
 /// F3: string similarity of the most frequent person name on each page.
@@ -56,6 +59,10 @@ class F3MostFrequentName final : public SimilarityFunction {
     }
     return text::JaroWinklerSimilarity(a.most_frequent_name,
                                        b.most_frequent_name);
+  }
+  BatchSpec batch_spec() const override {
+    return {BatchSpec::Measure::kJaroWinkler,
+            BatchSpec::Field::kMostFrequentName, 0.0};
   }
 };
 
@@ -118,6 +125,10 @@ class F7ClosestName final : public SimilarityFunction {
   double Compute(const FeatureBundle& a, const FeatureBundle& b) const override {
     if (a.closest_name.empty() || b.closest_name.empty()) return 0.0;
     return text::JaroWinklerSimilarity(a.closest_name, b.closest_name);
+  }
+  BatchSpec batch_spec() const override {
+    return {BatchSpec::Measure::kJaroWinkler, BatchSpec::Field::kClosestName,
+            0.0};
   }
 };
 

@@ -81,29 +81,25 @@ std::string RegistrableDomain(std::string_view host) {
   return last_two;
 }
 
-double UrlSimilarity(std::string_view url_a, std::string_view url_b) {
-  Result<ParsedUrl> ra = ParseUrl(url_a);
-  Result<ParsedUrl> rb = ParseUrl(url_b);
-  if (!ra.ok() || !rb.ok()) return 0.0;
-  const ParsedUrl& a = *ra;
-  const ParsedUrl& b = *rb;
+UrlKey MakeUrlKey(std::string_view url) {
+  Result<ParsedUrl> parsed = ParseUrl(url);
+  if (!parsed.ok()) return UrlKey{};
+  UrlKey key;
+  key.host = std::move(parsed->host);
+  key.path = std::move(parsed->path);
+  key.registrable_domain = std::move(parsed->registrable_domain);
+  // Split("/x/y", '/') -> {"", "x", "y"}; index 1 is the first directory.
+  std::vector<std::string> dirs = Split(key.path, '/');
+  if (dirs.size() > 1) key.first_dir = std::move(dirs[1]);
+  return key;
+}
 
-  if (a.host == b.host) {
-    if (a.path == b.path) return 1.0;
-    // Shared leading directory (beyond the root slash)?
-    std::vector<std::string> pa = Split(a.path, '/');
-    std::vector<std::string> pb = Split(b.path, '/');
-    // Split("/x/y", '/') -> {"", "x", "y"}; index 1 is the first directory.
-    if (pa.size() > 1 && pb.size() > 1 && !pa[1].empty() && pa[1] == pb[1]) {
-      return 0.9;
-    }
-    return 0.8;
-  }
-  if (!a.registrable_domain.empty() &&
-      a.registrable_domain == b.registrable_domain) {
-    return 0.6;
-  }
-  return 0.4 * text::JaroWinklerSimilarity(a.host, b.host);
+double UrlSimilarity(std::string_view url_a, std::string_view url_b) {
+  const UrlKey a = MakeUrlKey(url_a);
+  const UrlKey b = MakeUrlKey(url_b);
+  return UrlSimilarityLadder(a, b, [&] {
+    return text::JaroWinklerSimilarity(a.host, b.host);
+  });
 }
 
 }  // namespace extract

@@ -953,13 +953,18 @@ Result<MatchResult> ResolutionService::Match(const std::string& block,
   if (!faults::FaultInjector::Instance().AnyArmed()) {
     for (size_t f = 0; f < num_functions; ++f) {
       specs[f] = functions_[f]->batch_spec();
-      // Pearson is excluded here (unlike the resolver paths, which always
-      // score the lower index first): its covariance expression is not
-      // bitwise-commutative, and the cache keys pairs lowest-id-first while
-      // a strip fixes the requested document as the anchor.
+      // The cache keys pairs lowest-id-first, Compute(min_id, max_id),
+      // while a strip fixes the requested document as the anchor, so only
+      // measures that are bitwise-commutative by construction may be
+      // stripped here (the resolver paths always score the lower index
+      // first). Excluded: Pearson, whose covariance expression is not
+      // commutative, and the two string measures, whose Jaro-Winkler step
+      // has been found symmetric by brute force but not proven so.
+      const core::BatchSpec::Measure m = specs[f].measure;
       batchable[f] = specs[f].batchable() &&
-                             specs[f].measure !=
-                                 core::BatchSpec::Measure::kPearson &&
+                             m != core::BatchSpec::Measure::kPearson &&
+                             m != core::BatchSpec::Measure::kUrl &&
+                             m != core::BatchSpec::Measure::kJaroWinkler &&
                              strip_scorer.CanBatch(specs[f])
                          ? 1
                          : 0;

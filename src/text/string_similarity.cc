@@ -1,6 +1,7 @@
 #include "text/string_similarity.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,14 +44,28 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   const int lb = static_cast<int>(b.size());
   const int window = std::max(0, std::max(la, lb) / 2 - 1);
 
-  std::vector<bool> matched_a(la, false), matched_b(lb, false);
+  // Match flags, on the stack for the short strings (names, hosts) that
+  // make up nearly every call.
+  constexpr int kStackChars = 64;
+  std::array<char, kStackChars> stack_a{}, stack_b{};
+  std::vector<char> heap_a, heap_b;
+  char* matched_a = stack_a.data();
+  char* matched_b = stack_b.data();
+  if (la > kStackChars) {
+    heap_a.assign(la, 0);
+    matched_a = heap_a.data();
+  }
+  if (lb > kStackChars) {
+    heap_b.assign(lb, 0);
+    matched_b = heap_b.data();
+  }
   int matches = 0;
   for (int i = 0; i < la; ++i) {
     int lo = std::max(0, i - window);
     int hi = std::min(lb - 1, i + window);
     for (int j = lo; j <= hi; ++j) {
       if (matched_b[j] || a[i] != b[j]) continue;
-      matched_a[i] = matched_b[j] = true;
+      matched_a[i] = matched_b[j] = 1;
       ++matches;
       break;
     }

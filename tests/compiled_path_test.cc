@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
@@ -14,8 +15,11 @@
 #include "core/resolver.h"
 #include "corpus/generator.h"
 #include "corpus/presets.h"
+#include "extract/feature_extractor.h"
+#include "extract/url.h"
 #include "ml/splitter.h"
 #include "text/batch_similarity.h"
+#include "text/string_similarity.h"
 #include "text/vector_similarity.h"
 
 namespace weber {
@@ -91,6 +95,170 @@ void RunKernelEquivalence() {
 
 TEST(CompiledPathKernels, ScalarKernelsMatchScalarFunctionsBitwise) {
   RunKernelEquivalence();
+}
+
+// ---------------------------------------------------------------------------
+// String strips (F2, F3, F7): interned ids and the ordered Jaro-Winkler memo
+
+const SimilarityFunction& FunctionNamed(
+    const std::vector<std::unique_ptr<SimilarityFunction>>& fns,
+    std::string_view name) {
+  for (const auto& fn : fns) {
+    if (fn->name() == name) return *fn;
+  }
+  ADD_FAILURE() << "missing " << name;
+  return *fns.front();
+}
+
+/// Scores every strip of the block through `scorer` (anchors in descending
+/// order, so each anchor > j pair is looked up before its mirror) plus one
+/// inner sub-strip per anchor, and compares each value bitwise with
+/// fn.Compute(anchor, j); then checks a fresh scorer's ScoreMatrix against
+/// ComputeSimilarityMatrix.
+void ExpectStripsMatchCompute(const SimilarityFunction& fn,
+                              const std::vector<FeatureBundle>& bundles,
+                              BlockScorer& scorer) {
+  const BatchSpec spec = fn.batch_spec();
+  ASSERT_TRUE(scorer.CanBatch(spec)) << fn.name();
+  const int n = static_cast<int>(bundles.size());
+  std::vector<double> out(n);
+  for (int a = n - 1; a >= 0; --a) {
+    scorer.ScoreStrip(spec, a, 0, n, out.data());
+    for (int j = 0; j < n; ++j) {
+      const double want = fn.Compute(bundles[a], bundles[j]);
+      EXPECT_EQ(std::memcmp(&out[j], &want, sizeof(double)), 0)
+          << fn.name() << " anchor " << a << " j " << j << ": strip "
+          << out[j] << " vs per-pair " << want;
+    }
+    const int begin = n / 3;
+    const int end = n - n / 4;
+    scorer.ScoreStrip(spec, a, begin, end, out.data());
+    for (int j = begin; j < end; ++j) {
+      EXPECT_EQ(out[j - begin], fn.Compute(bundles[a], bundles[j]))
+          << fn.name() << " sub-strip anchor " << a << " j " << j;
+    }
+  }
+  BlockScorer fresh(&bundles);
+  EXPECT_EQ(fresh.ScoreMatrix(spec).data(),
+            ComputeSimilarityMatrix(fn, bundles).data())
+      << fn.name();
+}
+
+TEST(CompiledPathStrings, UrlStripMatchesPerPairOnEdgeCases) {
+  // Each row pins the per-pair rung; the block built from all rows then
+  // compares every ordered pair's strip value with F2's Compute.
+  struct UrlCase {
+    const char* a;
+    const char* b;
+    double rung;  // < 0: the Jaro-Winkler rung, 0.4 * JW(host_a, host_b)
+  };
+  const std::vector<UrlCase> cases = {
+      {"http://www.epfl.ch/lab/a.html", "http://www.epfl.ch/lab/a.html", 1.0},
+      // Upper-case host, query and fragment: same host and path.
+      {"HTTP://WWW.EPFL.CH/lab/a.html?x=1#top",
+       "http://www.epfl.ch/lab/a.html", 1.0},
+      {"http://www.epfl.ch/lab/a.html", "http://www.epfl.ch/lab/b.html", 0.9},
+      // Port and userinfo are not part of the host.
+      {"http://bob@www.epfl.ch:8080/lab/c", "http://www.epfl.ch/lab/d", 0.9},
+      {"http://www.epfl.ch/lab/a.html", "http://www.epfl.ch/doc/a.html", 0.8},
+      // A bare "/", no path at all and a query-only path are all "/".
+      {"http://h.org/", "http://h.org", 1.0},
+      {"http://h.org?q=1", "http://h.org/#frag", 1.0},
+      {"http://h.org/", "http://h.org/x", 0.8},
+      // Empty first directories ("//x") never count as shared.
+      {"http://h.org//x", "http://h.org//y", 0.8},
+      {"http://people.epfl.ch/x", "http://www.epfl.ch/y", 0.6},
+      {"http://a.example.co.uk/p", "http://b.example.co.uk/q", 0.6},
+      {"http://a.example.co.uk/p", "http://a.other.co.uk/p", -1.0},
+      {"http://alpha.com/x", "http://beta.org/x", -1.0},
+      // Hosts "." and ".." have an empty registrable domain: no 0.6 rung.
+      {"http://./a", "http://../a", -1.0},
+      // Unparseable (empty, blank, host-less) URLs score 0 against all.
+      {"", "", 0.0},
+      {"   ", "http://h.org/", 0.0},
+      {"http:///path-only", "http:///path-only", 0.0},
+      {"http://user@:80/x", "http://h.org/x", 0.0},
+  };
+  std::vector<FeatureBundle> bundles;
+  for (const UrlCase& c : cases) {
+    const extract::UrlKey ka = extract::MakeUrlKey(c.a);
+    const extract::UrlKey kb = extract::MakeUrlKey(c.b);
+    const double want =
+        c.rung >= 0.0 ? c.rung
+                      : 0.4 * text::JaroWinklerSimilarity(ka.host, kb.host);
+    EXPECT_EQ(extract::UrlSimilarity(c.a, c.b), want) << c.a << " | " << c.b;
+    bundles.emplace_back().url = c.a;
+    bundles.emplace_back().url = c.b;
+  }
+  auto fns = MakeStandardFunctions();
+  BlockScorer scorer(&bundles);
+  ExpectStripsMatchCompute(FunctionNamed(fns, "F2"), bundles, scorer);
+}
+
+TEST(CompiledPathStrings, NameStripsMatchPerPairOnEdgeCases) {
+  const std::string long_a(70, 'a');
+  const std::string long_b = std::string(69, 'a') + "b";
+  const std::vector<std::string> names = {
+      "", "alice cohen", "alice cohen", "alicia cohen", "cohen alice", "a",
+      "b", "", long_a, long_b, long_a,
+      "Jos\xc3\xa9 M\xc3\xbcller",  // non-ASCII bytes (UTF-8)
+      "Jose Muller", "Zo\xc3\xab", "zoe", "a"};
+  std::vector<FeatureBundle> bundles(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    bundles[i].most_frequent_name = names[i];
+    // F7 sees the same values in another order and with other gaps.
+    bundles[i].closest_name = names[(i * 7 + 3) % names.size()];
+  }
+  auto fns = MakeStandardFunctions();
+  const SimilarityFunction& f3 = FunctionNamed(fns, "F3");
+  const SimilarityFunction& f7 = FunctionNamed(fns, "F7");
+  // Per-pair pins: an empty name scores 0, even against another empty one.
+  EXPECT_EQ(f3.Compute(bundles[0], bundles[7]), 0.0);
+  EXPECT_EQ(f3.Compute(bundles[1], bundles[2]), 1.0);
+  // One scorer for both: each name field must get its own ids and memo.
+  BlockScorer scorer(&bundles);
+  ExpectStripsMatchCompute(f3, bundles, scorer);
+  ExpectStripsMatchCompute(f7, bundles, scorer);
+}
+
+TEST(CompiledPathStrings, MismatchedMeasureAndFieldAreNotBatchable) {
+  std::vector<FeatureBundle> bundles(3);
+  BlockScorer scorer(&bundles);
+  EXPECT_TRUE(scorer.CanBatch({BatchSpec::Measure::kUrl,
+                               BatchSpec::Field::kUrl, 0.0}));
+  EXPECT_TRUE(scorer.CanBatch({BatchSpec::Measure::kJaroWinkler,
+                               BatchSpec::Field::kClosestName, 0.0}));
+  EXPECT_FALSE(scorer.CanBatch({BatchSpec::Measure::kUrl,
+                                BatchSpec::Field::kClosestName, 0.0}));
+  EXPECT_FALSE(scorer.CanBatch({BatchSpec::Measure::kJaroWinkler,
+                                BatchSpec::Field::kTfidf, 0.0}));
+  EXPECT_FALSE(scorer.CanBatch({BatchSpec::Measure::kCosine,
+                                BatchSpec::Field::kMostFrequentName, 0.0}));
+}
+
+TEST(CompiledPathStrings, AllStandardFunctionsBatchOnEveryWww05Block) {
+  // The end-to-end equivalence tests compare the default resolver with the
+  // per-pair walk; they cover the string strips only if every function
+  // batches on real blocks. Checked on the paper's www05 corpus.
+  auto data = corpus::SyntheticWebGenerator(corpus::Www05Config()).Generate();
+  ASSERT_TRUE(data.ok()) << data.status();
+  extract::FeatureExtractor extractor(&data->gazetteer, {});
+  const auto fns = MakeStandardFunctions();
+  ASSERT_EQ(fns.size(), 10u);
+  ASSERT_FALSE(data->dataset.blocks.empty());
+  for (const corpus::Block& block : data->dataset.blocks) {
+    std::vector<extract::PageInput> pages;
+    for (const corpus::Document& d : block.documents) {
+      pages.push_back({d.url, d.text});
+    }
+    auto bundles = extractor.ExtractBlock(pages, block.query);
+    ASSERT_TRUE(bundles.ok()) << bundles.status();
+    BlockScorer scorer(&*bundles);
+    for (const auto& fn : fns) {
+      EXPECT_TRUE(scorer.CanBatch(fn->batch_spec()))
+          << fn->name() << " on block " << block.query;
+    }
+  }
 }
 
 TEST(CompiledPathKernels, CosineClampMasksOutOfRangeIntermediate) {

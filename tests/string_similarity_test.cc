@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/random.h"
 
@@ -36,6 +39,53 @@ TEST(JaroTest, KnownValues) {
   EXPECT_NEAR(JaroSimilarity("martha", "marhta"), 0.944444, 1e-5);
   // DWAYNE / DUANE: Jaro = 0.822222.
   EXPECT_NEAR(JaroSimilarity("dwayne", "duane"), 0.822222, 1e-5);
+}
+
+/// The Jaro similarity as first written, with std::vector<bool> match
+/// flags: the oracle for the stack-flag implementation.
+double ReferenceJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  if (a == b) return 1.0;
+  const int la = static_cast<int>(a.size());
+  const int lb = static_cast<int>(b.size());
+  const int window = std::max(0, std::max(la, lb) / 2 - 1);
+  std::vector<bool> matched_a(la, false), matched_b(lb, false);
+  int matches = 0;
+  for (int i = 0; i < la; ++i) {
+    int lo = std::max(0, i - window);
+    int hi = std::min(lb - 1, i + window);
+    for (int j = lo; j <= hi; ++j) {
+      if (matched_b[j] || a[i] != b[j]) continue;
+      matched_a[i] = matched_b[j] = true;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+  int transpositions = 0;
+  int j = 0;
+  for (int i = 0; i < la; ++i) {
+    if (!matched_a[i]) continue;
+    while (!matched_b[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = matches;
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+TEST(JaroTest, MatchesVectorBoolReferenceAcrossTheStackLimit) {
+  // Lengths 0..100 straddle the 64-character stack buffer; a 3-letter
+  // alphabet makes matches and transpositions common.
+  Rng rng(0x7A60);
+  for (int round = 0; round < 20000; ++round) {
+    std::string a(rng.UniformInt(0, 100), 'a');
+    std::string b(rng.UniformInt(0, 100), 'a');
+    for (char& c : a) c = static_cast<char>('a' + rng.UniformInt(0, 2));
+    for (char& c : b) c = static_cast<char>('a' + rng.UniformInt(0, 2));
+    ASSERT_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b)) << a << " | " << b;
+  }
 }
 
 TEST(JaroWinklerTest, KnownValues) {

@@ -63,6 +63,21 @@ TEST(RegistrableDomainTest, SecondLevelPublicSuffixes) {
   EXPECT_EQ(RegistrableDomain("shop.example.com.au"), "example.com.au");
 }
 
+TEST(UrlKeyTest, HoldsTheComparedParts) {
+  const UrlKey key = MakeUrlKey("http://bob@WWW.BBC.CO.UK:80/news/a.html?x#y");
+  EXPECT_EQ(key.host, "www.bbc.co.uk");
+  EXPECT_EQ(key.path, "/news/a.html");
+  EXPECT_EQ(key.first_dir, "news");
+  EXPECT_EQ(key.registrable_domain, "bbc.co.uk");
+  EXPECT_EQ(MakeUrlKey("http://h.org").first_dir, "");
+  EXPECT_EQ(MakeUrlKey("http://h.org//x").first_dir, "");
+  EXPECT_EQ(MakeUrlKey("http://h.org/x").first_dir, "x");
+  // Unparseable: every field empty.
+  const UrlKey bad = MakeUrlKey("http:///path-only");
+  EXPECT_TRUE(bad.host.empty() && bad.path.empty() && bad.first_dir.empty() &&
+              bad.registrable_domain.empty());
+}
+
 TEST(UrlSimilarityTest, TierValues) {
   // Same host, same path.
   EXPECT_DOUBLE_EQ(
@@ -89,6 +104,9 @@ TEST(UrlSimilarityTest, CrossDomainIsWeak) {
 TEST(UrlSimilarityTest, UnparseableScoresZero) {
   EXPECT_DOUBLE_EQ(UrlSimilarity("", "http://a.com"), 0.0);
   EXPECT_DOUBLE_EQ(UrlSimilarity("http://a.com", ""), 0.0);
+  // Two unparseable URLs do not match each other either.
+  EXPECT_DOUBLE_EQ(UrlSimilarity("", ""), 0.0);
+  EXPECT_DOUBLE_EQ(UrlSimilarity("http:///a", "http:///a"), 0.0);
 }
 
 TEST(UrlSimilarityTest, NonMonotoneTiersSupportRegionCriteria) {
